@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       cfg.builtin_softmax = s.builtin_softmax;
       // Compile once through the Engine (plan included); every measured step
       // reuses the plan. --shards=K compiles a sharded plan: fused kernels
-      // then run one pool task per shard (see ParallelPlanRunner).
+      // then run one pool task per shard (see PlanRunner::set_partitioning).
       auto c = engine_compile(std::make_shared<api::Gat>(cfg), s,
                               /*training=*/true, data.graph, opt);
       MemoryPool pool;

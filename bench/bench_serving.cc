@@ -1,10 +1,10 @@
 // bench_serving: throughput and tail latency of the batched serving runtime.
 //
-// Not a paper figure — this measures the workload layer PR 3 adds on top of
-// the reproduction: a fixed population of inference requests (one k-NN point
-// cloud each) is pushed through an InferenceServer, once with batching
-// disabled (max_batch=1, the sequential baseline) and once with the adaptive
-// batcher engaged. Batched execution is bit-identical to sequential
+// Not a paper figure — this measures the serving layer on top of the
+// reproduction: a fixed population of inference requests (one k-NN point
+// cloud each) is pushed through a ServingHost with one registered model, once
+// with batching disabled (max_batch=1, the sequential baseline) and once with
+// max_batch=B. Batched execution is bit-identical to sequential
 // execution (tests/test_serving.cc), so every difference between the rows is
 // pure serving policy: batch amortization of per-run overhead and plan-cache
 // reuse across batch shapes.
@@ -16,6 +16,7 @@
 //
 // Flags (besides the common ones): --requests=N --max-batch=B
 // --max-wait-us=U --workers=W --knn=K.
+#include <algorithm>
 #include <cstdio>
 #include <future>
 #include <memory>
@@ -102,12 +103,15 @@ int main(int argc, char** argv) {
   if (so.max_batch != 1) configs.push_back(so.max_batch);
   const api::Model model = serving_model(opt);
   for (const int max_batch : configs) {
-    serve::BatchPolicy policy;
-    policy.max_batch = max_batch;
-    policy.max_wait_us = so.max_wait_us;
-    policy.queue_capacity = static_cast<std::size_t>(so.requests) + 1;
+    serve::ModelOptions mo;
+    mo.batch.max_batch = max_batch;
+    mo.batch.max_wait_us = so.max_wait_us;
+    mo.batch.queue_capacity = static_cast<std::size_t>(so.requests) + 1;
 
-    auto server = model.server(policy, so.workers);
+    // A fresh one-model host per row, so every row starts from empty stats.
+    // At least one worker: a host without workers serves only on pump().
+    serve::ServingHost host({.workers = std::max(1, so.workers)});
+    const std::string name = model.register_with(host, mo);
     std::vector<std::future<serve::InferenceResult>> futures;
     futures.reserve(requests.size());
     Timer wall;
@@ -115,12 +119,12 @@ int main(int argc, char** argv) {
       serve::InferenceRequest copy;
       copy.graph = req.graph;
       copy.features = req.features;  // shallow handle; payload is shared
-      futures.push_back(server->submit(std::move(copy)));
+      futures.push_back(host.submit(name, std::move(copy)));
     }
     for (auto& f : futures) f.get();
     const double wall_seconds = wall.seconds();
-    server->shutdown();
-    const serve::ServerStats stats = server->stats();
+    host.shutdown();
+    const serve::ServerStats stats = host.stats(name);
 
     Measurement m;
     // Keep the shared-schema semantics of run_seconds ("time per unit of

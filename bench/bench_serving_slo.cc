@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
     }
     models_json += "]";
 
-    char extra[768];
+    char extra[1024];
     std::snprintf(
         extra, sizeof extra,
         "\"requests\": %d, \"rate_rps\": %.1f, \"max_batch\": %d, "
@@ -231,6 +231,7 @@ int main(int argc, char** argv) {
         "\"offered\": %llu, \"accepted\": %llu, \"shed\": %llu, "
         "\"rejected\": %llu, \"completed\": %llu, \"failed\": %llu, "
         "\"good\": %llu, \"slo_shrinks\": %llu, \"slo_grows\": %llu, "
+        "\"send_lag_p99_ms\": %.3f, \"send_lag_max_ms\": %.3f, "
         "\"wall_seconds\": %.4f",
         so.requests, so.rate, so.max_batch, so.max_wait_us, so.workers,
         so.slo_us, adaptive ? "true" : "false", lr.goodput_rps(),
@@ -242,7 +243,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(lr.failed),
         static_cast<unsigned long long>(lr.good),
         static_cast<unsigned long long>(hs.total.slo_shrinks),
-        static_cast<unsigned long long>(hs.total.slo_grows), lr.wall_seconds);
+        static_cast<unsigned long long>(hs.total.slo_grows),
+        lr.send_lag.p99 * 1e3, lr.send_lag.max * 1e3, lr.wall_seconds);
     const std::string config_name = adaptive ? "slo-adaptive" : "static";
     report.add("gcn+gat/mixed-cloud", config_name, m, base,
                std::string(extra) + ", \"models\": " + models_json);

@@ -4,8 +4,8 @@
 // cache identity into its own PlanCache namespace with its own stats, queue
 // and SLO feedback controller. Shared workers drain the per-model queues
 // round-robin; every batch is single-model, so outputs stay bit-identical to
-// solo execution. On top of plain batching the host adds the serving
-// policies the single-model server lacks:
+// solo execution. On top of the plain batching examples/serving.cpp shows
+// with one model, the host's serving policies come into play:
 //
 //  * priorities + admission control (Low-priority work is shed when queue
 //    depth threatens the SLO),

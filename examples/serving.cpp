@@ -1,13 +1,14 @@
 // Example: batched inference serving — the compile-once/serve-many stack as
 // an application.
 //
-// model.server() wraps the whole pipeline: requests (here, k-NN point
-// clouds) enter a bounded queue, the adaptive batcher packs them into
-// block-diagonal batch graphs, each distinct batch shape is compiled exactly
-// once into an immutable ExecutionPlan via the process-wide PlanCache, and
-// worker threads execute plans concurrently. Outputs are bit-identical to
-// running every request alone — batching is a latency/throughput policy,
-// not an approximation.
+// One model registered on a ServingHost wraps the whole pipeline: requests
+// (here, k-NN point clouds) enter a bounded queue, worker threads pack them
+// into block-diagonal batch graphs under a max-batch/max-wait policy, each
+// distinct batch shape is compiled exactly once into an immutable
+// ExecutionPlan via the process-wide PlanCache, and the workers execute plans
+// concurrently. Outputs are bit-identical to running every request alone —
+// batching is a latency/throughput policy, not an approximation.
+// examples/multi_model_serving.cpp puts a second model on the same host.
 //
 //   ./serving [requests] [max_batch]
 //   ./serving 32 8
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "api/triad.h"
@@ -53,18 +55,20 @@ int main(int argc, char** argv) {
   api::Model model = api::Engine({.strategy = ours(), .init_seed = 7})
                          .compile(std::make_shared<api::Gcn>(cfg));
 
-  serve::BatchPolicy policy;
-  policy.max_batch = max_batch;
-  policy.max_wait_us = 300;
-  auto server = model.server(policy, /*workers=*/2);
+  serve::ServingHost host({.workers = 2});
+  serve::ModelOptions opts;
+  opts.batch.max_batch = max_batch;
+  opts.batch.max_wait_us = 300;
+  // register_with names the model by its cache identity and returns it.
+  const std::string name = model.register_with(host, opts);
   std::printf("serving %d point-cloud requests (max_batch=%d, 2 workers, "
               "model %s)\n",
-              requests, max_batch, server->model_name().c_str());
+              requests, max_batch, name.c_str());
 
   std::vector<std::future<serve::InferenceResult>> futures;
   for (int i = 0; i < requests; ++i) {
     futures.push_back(
-        server->submit(make_request(100 + static_cast<unsigned>(i))));
+        host.submit(name, make_request(100 + static_cast<unsigned>(i))));
   }
   for (int i = 0; i < requests; ++i) {
     const serve::InferenceResult res = futures[static_cast<std::size_t>(i)].get();
@@ -77,9 +81,9 @@ int main(int argc, char** argv) {
       std::printf("  ...\n");
     }
   }
-  server->shutdown();
+  host.shutdown();
 
-  const serve::ServerStats stats = server->stats();
+  const serve::ServerStats stats = host.stats(name);
   std::printf(
       "\nserved %llu requests in %llu batches (mean batch %.2f): "
       "%.0f req/s, p50 %.3f ms, p95 %.3f ms, p99 %.3f ms\n",

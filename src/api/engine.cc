@@ -58,35 +58,16 @@ Trainer Model::trainer(const Dataset& data, MemoryPool* pool) const {
                  std::move(pseudo), pool);
 }
 
-std::unique_ptr<serve::InferenceServer> Model::server(serve::BatchPolicy batch,
-                                                      int workers) const {
-  serve::ServerConfig cfg;
-  cfg.strategy = opts_.strategy;
-  cfg.batch = batch;
-  cfg.workers = workers;
-  cfg.shards = opts_.shards;
-  cfg.partition_strategy = opts_.partition;
-  // The builder must be self-contained: serving workers call it on cache
-  // misses, possibly concurrently, so it re-seeds its own Rng — the same
-  // init_seed reproduces identical weights for every batch shape. The
-  // served model's PlanCache identity includes the seed (cache_identity());
-  // two servers differing only in init weights never alias plans.
-  auto module = module_;
-  const unsigned seed = opts_.init_seed;
-  return std::make_unique<serve::InferenceServer>(
-      cache_identity(),
-      [module, seed] {
-        Rng rng(seed);
-        return module->build(rng);
-      },
-      cfg);
-}
-
 std::string Model::register_with(serve::ServingHost& host,
                                  serve::ModelOptions opts) const {
   opts.strategy = opts_.strategy;
   opts.shards = opts_.shards;
   opts.partition_strategy = opts_.partition;
+  // The builder must be self-contained: serving workers call it on cache
+  // misses, possibly concurrently, so it re-seeds its own Rng — the same
+  // init_seed reproduces identical weights for every batch shape. The
+  // registered name includes the seed (cache_identity()), so two models
+  // differing only in init weights never alias plans.
   auto module = module_;
   const unsigned seed = opts_.init_seed;
   std::string name = cache_identity();

@@ -3,14 +3,15 @@
 ///
 /// The Engine unifies the three construction paths that used to be wired by
 /// hand — `compile_model(...)` + `Trainer(...)`, `PlanCache::get_or_compile`,
-/// and `InferenceServer(name, builder, config)` — behind a single
+/// and `ServingHost::register_model(name, builder, opts)` — behind a single
 /// `CompileOptions` struct and a shared `Model` artifact:
 ///
 /// ```
 ///   api::Engine engine({.strategy = ours(), .shards = 4});
 ///   api::Model model = engine.compile(std::make_shared<api::Gat>(cfg));
 ///   Trainer t  = model.trainer(dataset);           // full-batch training
-///   auto server = model.server({.max_batch = 8});  // batched inference
+///   serve::ServingHost host;                       // batched inference
+///   std::string name = model.register_with(host);  // submit(name, request)
 /// ```
 ///
 /// A `Model` is cheap to copy (it shares the Module); the expensive artifact
@@ -32,18 +33,18 @@
 #include "graph/datasets.h"
 #include "models/trainer.h"
 #include "serve/host.h"
-#include "serve/server.h"
 
 namespace triad::api {
 
 /// Everything that shapes a compile, in one place — strategy (pass
 /// pipeline + baseline builder flags), sharding, plan caching, and the
 /// parameter-init seed — instead of positional arguments spread over
-/// compile_model / Trainer / ServerConfig.
+/// compile_model / Trainer / ModelOptions.
 struct CompileOptions {
   Strategy strategy = ours();
   /// K > 0 bakes a K-way per-shard schedule into every plan this model
-  /// compiles; trainers and servers built from it execute shard-parallel.
+  /// compiles; trainers and served batches built from it execute
+  /// shard-parallel.
   int shards = 0;
   PartitionStrategy partition = PartitionStrategy::DegreeBalanced;
   /// Route compiles through the process-wide PlanCache (one compile per
@@ -85,20 +86,14 @@ class Model {
   Trainer trainer(const Dataset& data,
                   MemoryPool* pool = &global_pool_mem()) const;
 
-  /// A batched InferenceServer serving this module under the model's
-  /// strategy/sharding options. Each distinct batch shape compiles once via
-  /// the PlanCache (keyed by cache_identity(), which pins the init seed
-  /// alongside the architecture); weights are rebuilt deterministically
-  /// from the init seed.
-  std::unique_ptr<serve::InferenceServer> server(
-      serve::BatchPolicy batch = {}, int workers = 1) const;
-
-  /// Registers this model with a multi-model ServingHost under its
-  /// cache_identity() and returns that name (the handle for submit()/
-  /// stats()/reload()). The model's strategy/sharding options override the
-  /// corresponding fields of `opts`; batch/SLO/shedding knobs are the
-  /// caller's. The registered builder rebuilds weights deterministically
-  /// from the init seed, so reload(name) restores pristine init weights.
+  /// Registers this model with a ServingHost under its cache_identity() and
+  /// returns that name (the handle for submit()/stats()/reload()). Each
+  /// distinct batch shape compiles once via the PlanCache, keyed by that
+  /// name, which pins the init seed alongside the architecture. The model's
+  /// strategy/sharding options override the corresponding fields of `opts`;
+  /// batch/SLO/shedding knobs are the caller's. The registered builder
+  /// rebuilds weights deterministically from the init seed, so reload(name)
+  /// restores pristine init weights.
   std::string register_with(serve::ServingHost& host,
                             serve::ModelOptions opts = {}) const;
 
@@ -133,8 +128,8 @@ class Engine {
   explicit Engine(CompileOptions opts) : opts_(std::move(opts)) {}
 
   /// Binds a module to this engine's options. The heavy work (passes + plan)
-  /// happens on the returned Model's first compiled()/trainer()/server()
-  /// use, once per distinct graph shape.
+  /// happens on the returned Model's first compiled()/trainer()/served batch,
+  /// once per distinct graph shape.
   Model compile(std::shared_ptr<const Module> module) const;
   /// Same, with per-model option overrides.
   Model compile(std::shared_ptr<const Module> module,

@@ -30,8 +30,8 @@ class Module {
   virtual ~Module() = default;
 
   /// Stable identity of the architecture + hyperparameters (NOT the weights):
-  /// the PlanCache key component and the default InferenceServer model name,
-  /// e.g. "gcn/in16/h32/c4".
+  /// the PlanCache key component and the prefix of the name a model serves
+  /// under (api::Model::cache_identity()), e.g. "gcn/in16/h32/c4".
   virtual std::string signature() const = 0;
 
   /// Width of the vertex-feature input the module expects.

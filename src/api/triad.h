@@ -29,5 +29,5 @@
 #include "graph/generators.h"
 #include "graph/knn.h"
 #include "models/trainer.h"
-#include "serve/server.h"
+#include "serve/host.h"
 #include "support/counters.h"

@@ -1,16 +1,23 @@
 /// \file
-/// ServingHost: SLO-aware multi-model serving behind one front door.
+/// ServingHost: the batched serving runtime — one or N models behind one
+/// front door.
 ///
-/// Production traffic is not one model: a host registers N models, each keyed
-/// by its cache identity into its own PlanCache namespace with its own
-/// ServerStats, latency histogram, bounded admission queue, and SLO feedback
-/// controller. A shared pool of workers drains the per-model queues
+/// Requests enter a model's bounded queue; a worker collects a batch under
+/// the model's max-batch/max-wait policy, collates it into one block-diagonal
+/// graph, fetches the matching immutable ExecutionPlan from the process-wide
+/// PlanCache (one compile per (model, batch shape), ever), runs it through a
+/// PlanRunner — shard-parallel when configured — and de-collates per-request
+/// outputs back to their futures. A single-model deployment is a host with
+/// one registered model (api::Model::register_with).
+///
+/// Each model is keyed by its cache identity into its own PlanCache namespace
+/// with its own ServerStats, latency histogram, bounded admission queue, and
+/// SLO feedback controller. Shared workers drain the per-model queues
 /// round-robin; every batch is single-model (collation is block-diagonal per
 /// model), so the bit-identity guarantee of serve/collate.h carries over
-/// unchanged — multi-model serving is still exactly solo execution per
-/// request.
+/// unchanged — batched serving is still exactly solo execution per request.
 ///
-/// Three serving policies live here, none of which InferenceServer has:
+/// Three serving policies live on top of plain batching:
 ///
 ///  * Request priorities + admission control. Each model's BoundedQueue has
 ///    one lane per Priority; High drains before Normal before Low. When queue
@@ -46,10 +53,9 @@
 
 #include "baselines/strategy.h"
 #include "graph/partition.h"
-#include "serve/batcher.h"
 #include "serve/collate.h"
-#include "serve/server.h"
 #include "serve/slo.h"
+#include "support/counters.h"
 #include "support/histogram.h"
 #include "support/queue.h"
 #include "support/timer.h"
@@ -64,6 +70,56 @@ inline constexpr int kPriorityLanes = 3;
 /// Admission verdict of try_submit — the open-loop load generator tells shed
 /// (SLO protection) apart from rejected (queue full) apart from closed.
 enum class Admission { Accepted, Shed, Rejected, Closed };
+
+/// What a request's future resolves to.
+struct InferenceResult {
+  Tensor output;             ///< this request's output rows (de-collated)
+  double latency_seconds = 0;  ///< submit -> result ready, on the host clock
+  double batch_seconds = 0;    ///< execution time of the batch it rode in
+  int batch_size = 0;          ///< how many requests shared that run
+};
+
+/// Serving metrics of one model (HostStats::total sums them across models).
+/// wall_seconds spans first submit to last completion, so throughput_rps()
+/// reflects the actually loaded window.
+struct ServerStats {
+  std::uint64_t submitted = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t rejected = 0;  ///< try_submit refusals (queue full)
+  /// Low-priority submissions refused by admission control because queue
+  /// depth threatened the SLO (never counted as rejected).
+  std::uint64_t shed = 0;
+  std::uint64_t failed = 0;    ///< promises fulfilled with an exception
+  std::uint64_t batches = 0;
+  std::uint64_t reloads = 0;   ///< hot weight swaps applied
+  /// SLO feedback-controller activity (models with an enabled SloPolicy):
+  /// counted knob adjustments prove the mechanism engaged.
+  std::uint64_t slo_shrinks = 0;
+  std::uint64_t slo_grows = 0;
+  std::int64_t eff_max_wait_us = 0;  ///< effective max-wait at snapshot time
+  int eff_max_batch = 0;             ///< effective max-batch at snapshot time
+  /// Most workers ever serving this model's batches at once. With a
+  /// max_workers_per_model quota this is the fairness bound: it never
+  /// exceeds the quota, however hot the model runs.
+  int peak_workers = 0;
+  double busy_seconds = 0;  ///< summed batch execution time (all workers)
+  double wall_seconds = 0;
+  std::size_t queue_depth = 0;      ///< at snapshot time
+  std::size_t pool_peak_bytes = 0;  ///< host-internal batch memory peak
+  LatencyHistogram::Snapshot latency;
+  PerfCounters counters;  ///< summed per-batch deltas across workers
+  /// batch_size_hist[b] = batches served at size b (index 0 unused); sized
+  /// max_batch + 1 at registration.
+  std::vector<std::uint64_t> batch_size_hist;
+
+  double throughput_rps() const {
+    return wall_seconds > 0 ? static_cast<double>(completed) / wall_seconds : 0;
+  }
+  double mean_batch_size() const {
+    return batches > 0 ? static_cast<double>(completed) / static_cast<double>(batches)
+                       : 0;
+  }
+};
 
 /// Per-model serving configuration, fixed at registration.
 struct ModelOptions {
@@ -101,8 +157,10 @@ struct HostStats {
 
 class ServingHost {
  public:
-  /// Same contract as InferenceServer::ModelBuilder: self-contained (seed an
-  /// Rng inside), called on PlanCache misses from worker threads.
+  /// Builds the model IR + parameters. Called at registration, on reload(),
+  /// and on PlanCache misses (one per distinct batch shape) from worker
+  /// threads, possibly concurrently — it must be self-contained (seed an Rng
+  /// inside).
   using ModelBuilder = std::function<ModelGraph()>;
 
   explicit ServingHost(HostConfig config = {});

@@ -75,6 +75,7 @@ LoadReport run_open_loop(ServingHost& host,
   struct InFlight {
     std::future<InferenceResult> future;
     std::size_t klass = 0;
+    double lag = 0;  ///< seconds the submission ran behind its due instant
   };
   std::vector<InFlight> in_flight;
   in_flight.reserve(schedule.size());
@@ -85,13 +86,19 @@ LoadReport run_open_loop(ServingHost& host,
 
   // Open loop: fire each arrival at its scheduled instant, never waiting on
   // completions. sleep_until self-corrects — a slow submission does not delay
-  // the rest of the schedule beyond its own overrun.
+  // the rest of the schedule beyond its own overrun — but an overrun still
+  // delays that request, so its lag is charged to its latency below.
+  using clock = std::chrono::steady_clock;
   Timer wall;
-  const auto start = std::chrono::steady_clock::now();
+  LatencyHistogram send_lag;
+  const auto start = clock::now();
   for (const Arrival& a : schedule) {
-    std::this_thread::sleep_until(
-        start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(a.at_seconds)));
+    const auto due = start + std::chrono::duration_cast<clock::duration>(
+                                 std::chrono::duration<double>(a.at_seconds));
+    std::this_thread::sleep_until(due);
+    // sleep_until returns no earlier than `due`, so the lag is never negative.
+    const double lag = std::chrono::duration<double>(clock::now() - due).count();
+    send_lag.record(lag);
     const TrafficClass& c = classes[a.klass];
     LoadModelReport& m = report.models[c.model];
     ++report.offered;
@@ -101,7 +108,7 @@ LoadReport run_open_loop(ServingHost& host,
       case Admission::Accepted:
         ++report.accepted;
         ++m.accepted;
-        in_flight.push_back({std::move(fut), a.klass});
+        in_flight.push_back({std::move(fut), a.klass, lag});
         break;
       case Admission::Shed:
         ++report.shed;
@@ -116,27 +123,29 @@ LoadReport run_open_loop(ServingHost& host,
     }
   }
 
-  // Drain. Latency percentiles are computed from the futures (client view),
-  // per model; the host's own histograms remain available via stats().
+  // Drain. Latency percentiles are computed from the futures (client view:
+  // due instant -> result ready), per model; the host's own histograms
+  // (submit -> result ready) remain available via stats().
   std::map<std::string, LatencyHistogram> latencies;
   for (InFlight& f : in_flight) {
     const std::string& model = classes[f.klass].model;
     LoadModelReport& m = report.models[model];
     try {
-      InferenceResult res = f.future.get();
+      const double latency = f.lag + f.future.get().latency_seconds;
       ++report.completed;
       ++m.completed;
-      if (res.latency_seconds <= spec.slo_seconds) {
+      if (latency <= spec.slo_seconds) {
         ++report.good;
         ++m.good;
       }
-      latencies[model].record(res.latency_seconds);
+      latencies[model].record(latency);
     } catch (...) {
       ++report.failed;
       ++m.failed;
     }
   }
   report.wall_seconds = wall.seconds();
+  report.send_lag = send_lag.snapshot();
   for (auto& [model, hist] : latencies) {
     report.models[model].latency = hist.snapshot();
   }

@@ -16,6 +16,12 @@
 /// arrival *timestamps* are wall-clock, but the decision sequence is
 /// deterministic.
 ///
+/// Each request is timed from its scheduled (due) instant, not from the
+/// moment it was handed to the host: latency = send lag + the host's own
+/// submit-to-result latency. A generator that falls behind its schedule
+/// would otherwise drop its own lag from every measurement (coordinated
+/// omission) and report a tail the offered load never saw.
+///
 /// The report is goodput-first: a request only counts as "good" when it
 /// completed within the SLO. bench_serving_slo.cc turns one of these into a
 /// BENCH JSON row; tests/test_serving_slo.cc checks the identities
@@ -61,7 +67,7 @@ struct LoadModelReport {
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;  ///< future resolved with an exception
   std::uint64_t good = 0;    ///< completed within the SLO
-  LatencyHistogram::Snapshot latency;
+  LatencyHistogram::Snapshot latency;  ///< due instant -> result ready
 };
 
 /// Whole-run result. The identities the tests pin down:
@@ -77,6 +83,9 @@ struct LoadReport {
   std::uint64_t good = 0;
   double wall_seconds = 0;  ///< first scheduled arrival -> last completion
   double slo_seconds = 0;
+  /// Per offered arrival: how late the generator handed it to the host
+  /// (actual send instant - due instant). Part of every request's latency.
+  LatencyHistogram::Snapshot send_lag;
   std::map<std::string, LoadModelReport> models;
 
   double goodput_rps() const {

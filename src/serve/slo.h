@@ -1,7 +1,7 @@
 /// \file
 /// SLO-aware batching: a target-p99 feedback controller over the batch knobs.
 ///
-/// The static max-batch/max-wait policy (serve/batcher.h) has a tuning
+/// The static max-batch/max-wait policy (BatchPolicy below) has a tuning
 /// problem: a max-wait generous enough to fill batches at low traffic
 /// inflates tail latency the moment an SLO is attached, and a tight one
 /// wastes batching headroom. The controller closes the loop: after each
@@ -29,15 +29,24 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 
-#include "serve/batcher.h"
-
 namespace triad::serve {
 
+/// Static batch-formation knobs of one served model. A batch leaves once it
+/// holds max_batch requests or max_wait_us has passed since its first
+/// request was collected. queue_capacity bounds admission: a full queue
+/// rejects try_submit (back-pressure instead of unbounded growth).
+struct BatchPolicy {
+  int max_batch = 8;
+  std::int64_t max_wait_us = 200;
+  std::size_t queue_capacity = 1024;
+};
+
 /// SLO policy knobs. Disabled by default: a ServingHost model without an SLO
-/// serves under the static BatchPolicy exactly like InferenceServer.
+/// serves under its static BatchPolicy alone.
 struct SloPolicy {
   bool enabled = false;
   std::int64_t target_p99_us = 10000;  ///< the latency SLO being steered to

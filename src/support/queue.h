@@ -1,11 +1,11 @@
 /// \file
 /// Bounded MPMC blocking queue with close semantics and priority lanes.
 ///
-/// The admission-control buffer of the serving runtime (serve/batcher.h,
-/// serve/host.h): producers block (or fail fast via try_push) when the queue
-/// is full, so a traffic burst turns into back-pressure instead of unbounded
-/// memory growth. close() wakes every waiter; consumers drain what is left
-/// and then observe end-of-stream as an empty optional.
+/// The admission-control buffer of the serving runtime (serve/host.h):
+/// producers block (or fail fast via try_push) when the queue is full, so a
+/// traffic burst turns into back-pressure instead of unbounded memory growth.
+/// close() wakes every waiter; consumers drain what is left and then observe
+/// end-of-stream as an empty optional.
 ///
 /// A queue may be constructed with N priority lanes (default 1). Capacity is
 /// shared across lanes — admission control sees one depth — but consumers

@@ -464,7 +464,7 @@ TEST(ApiEngine, ShardedTrainerBitIdentical) {
   EXPECT_EQ(ops::max_abs_diff(t1.logits(), t4.logits()), 0.f);
 }
 
-TEST(ApiEngine, ServerServesModule) {
+TEST(ApiEngine, HostServesModule) {
   GcnConfig cfg;
   cfg.in_dim = 4;
   cfg.hidden = {8};
@@ -474,13 +474,13 @@ TEST(ApiEngine, ServerServesModule) {
   const api::Model model =
       api::Engine(opts).compile(std::make_shared<api::Gcn>(cfg));
 
-  serve::BatchPolicy policy;
-  policy.max_batch = 4;
-  auto server = model.server(policy, /*workers=*/1);
+  serve::ServingHost host({.workers = 1});
+  serve::ModelOptions mo;
+  mo.batch.max_batch = 4;
+  const std::string name = model.register_with(host, mo);
   // The served identity pins the weights too: signature + init seed.
-  EXPECT_EQ(server->model_name(), model.cache_identity());
-  EXPECT_NE(server->model_name().find(model.module().signature()),
-            std::string::npos);
+  EXPECT_EQ(name, model.cache_identity());
+  EXPECT_NE(name.find(model.module().signature()), std::string::npos);
 
   Rng rng(21);
   std::vector<std::future<serve::InferenceResult>> futures;
@@ -488,15 +488,15 @@ TEST(ApiEngine, ServerServesModule) {
     serve::InferenceRequest req;
     req.graph = std::make_shared<const Graph>(test_graph());
     req.features = Tensor::randn(req.graph->num_vertices(), 4, rng);
-    futures.push_back(server->submit(std::move(req)));
+    futures.push_back(host.submit(name, std::move(req)));
   }
   for (auto& f : futures) {
     const serve::InferenceResult r = f.get();
     EXPECT_EQ(r.output.rows(), 24);
     EXPECT_EQ(r.output.cols(), 3);
   }
-  server->shutdown();
-  EXPECT_EQ(server->stats().completed, 4u);
+  host.shutdown();
+  EXPECT_EQ(host.stats(name).completed, 4u);
   PlanCache::global().clear();
 }
 

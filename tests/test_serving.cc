@@ -1,6 +1,7 @@
 // Serving-runtime tests: collation edge cases, the bit-identity guarantee of
-// batched execution, de-collation ordering under out-of-order worker
-// completion, and the batcher/queue/histogram support pieces.
+// batched execution, de-collation ordering when a one-model ServingHost's
+// worker pool completes batches out of order, sharded serving, and the
+// queue/histogram support pieces.
 //
 // The load-bearing property is the same one the sharded runtime pins down:
 // batching is a pure throughput/latency policy. A block-diagonal batch gives
@@ -19,9 +20,8 @@
 #include "graph/generators.h"
 #include "graph/knn.h"
 #include "models/models.h"
-#include "serve/batcher.h"
 #include "serve/collate.h"
-#include "serve/server.h"
+#include "serve/host.h"
 #include "support/histogram.h"
 #include "support/queue.h"
 #include "support/rng.h"
@@ -29,12 +29,10 @@
 namespace triad {
 namespace {
 
-using serve::AdaptiveBatcher;
-using serve::BatchPolicy;
 using serve::CollatedBatch;
 using serve::InferenceRequest;
-using serve::InferenceServer;
 using serve::RequestRange;
+using serve::ServingHost;
 
 constexpr std::int64_t kInDim = 6;
 constexpr std::int64_t kClasses = 4;
@@ -255,7 +253,7 @@ TEST(BatchedBitIdentity, IdenticalRequestsYieldIdenticalSlices) {
   }
 }
 
-// --- batcher / queue / histogram --------------------------------------------
+// --- queue / histogram ------------------------------------------------------
 
 TEST(BoundedQueue, CloseDrainsThenEnds) {
   BoundedQueue<int> q(8);
@@ -277,25 +275,6 @@ TEST(BoundedQueue, TryPushRespectsCapacity) {
   EXPECT_TRUE(q.try_push(3));
 }
 
-TEST(AdaptiveBatcher, RespectsMaxBatchAndDrains) {
-  BatchPolicy policy;
-  policy.max_batch = 4;
-  policy.max_wait_us = 0;  // zero-wait: take only what is already queued
-  AdaptiveBatcher<int> batcher(policy);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(batcher.enqueue(i));
-  batcher.close();
-  int total = 0;
-  int next = 0;
-  for (;;) {
-    const std::vector<int> batch = batcher.next_batch();
-    if (batch.empty()) break;
-    EXPECT_LE(static_cast<int>(batch.size()), 4);
-    for (int v : batch) EXPECT_EQ(v, next++);  // FIFO order preserved
-    total += static_cast<int>(batch.size());
-  }
-  EXPECT_EQ(total, 10);
-}
-
 TEST(LatencyHistogram, NearestRankPercentiles) {
   LatencyHistogram h;
   for (int i = 100; i >= 1; --i) h.record(static_cast<double>(i));
@@ -309,9 +288,9 @@ TEST(LatencyHistogram, NearestRankPercentiles) {
   EXPECT_DOUBLE_EQ(s.mean(), 50.5);
 }
 
-// --- the server -------------------------------------------------------------
+// --- a one-model host -------------------------------------------------------
 
-TEST(InferenceServer, DecollationOrderingUnderOutOfOrderCompletion) {
+TEST(ServingHost, DecollationOrderingUnderOutOfOrderCompletion) {
   // Four workers complete batches in whatever order the scheduler likes; the
   // per-request futures must still receive *their own* rows. Each request's
   // expected output is computed standalone first.
@@ -324,13 +303,15 @@ TEST(InferenceServer, DecollationOrderingUnderOutOfOrderCompletion) {
         run_standalone(serving_gcn(), ours(), reqs[static_cast<std::size_t>(i)]));
   }
 
-  serve::ServerConfig cfg;
-  cfg.workers = 4;
-  cfg.batch.max_batch = 3;
-  cfg.batch.max_wait_us = 500;
-  InferenceServer server("test/gcn-ordering", serving_gcn, cfg);
+  ServingHost host({.workers = 4});
+  serve::ModelOptions opts;
+  opts.batch.max_batch = 3;
+  opts.batch.max_wait_us = 500;
+  host.register_model("test/gcn-ordering", serving_gcn, opts);
   std::vector<std::future<serve::InferenceResult>> futures;
-  for (InferenceRequest& r : reqs) futures.push_back(server.submit(std::move(r)));
+  for (InferenceRequest& r : reqs) {
+    futures.push_back(host.submit("test/gcn-ordering", std::move(r)));
+  }
   for (int i = 0; i < kRequests; ++i) {
     serve::InferenceResult res = futures[static_cast<std::size_t>(i)].get();
     ASSERT_GE(res.batch_size, 1);
@@ -339,9 +320,9 @@ TEST(InferenceServer, DecollationOrderingUnderOutOfOrderCompletion) {
     expect_bit_identical(res.output, expected[static_cast<std::size_t>(i)],
                          "request routed to the wrong rows");
   }
-  server.shutdown();
+  host.shutdown();
 
-  const serve::ServerStats stats = server.stats();
+  const serve::ServerStats stats = host.stats("test/gcn-ordering");
   EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(stats.failed, 0u);
@@ -357,52 +338,30 @@ TEST(InferenceServer, DecollationOrderingUnderOutOfOrderCompletion) {
   EXPECT_LE(stats.counters.plan_compiles, 12u);
 }
 
-TEST(InferenceServer, ShardedServingBitIdentical) {
+TEST(ServingHost, ShardedServingBitIdentical) {
+  // K = 4 shards over each collated batch graph must match a standalone
+  // unsharded PlanRunner bitwise.
   const InferenceRequest req = make_request(32, 9);
   const Tensor expected = run_standalone(serving_gcn(), ours(), req);
 
-  serve::ServerConfig cfg;
-  cfg.workers = 2;
-  cfg.shards = 4;
-  cfg.batch.max_batch = 2;
-  InferenceServer server("test/gcn-sharded", serving_gcn, cfg);
+  ServingHost host({.workers = 2});
+  serve::ModelOptions opts;
+  opts.shards = 4;
+  opts.batch.max_batch = 2;
+  host.register_model("test/gcn-sharded", serving_gcn, opts);
   std::vector<std::future<serve::InferenceResult>> futures;
   for (int i = 0; i < 6; ++i) {
     InferenceRequest copy;
     copy.graph = req.graph;
     copy.features = req.features;
-    futures.push_back(server.submit(std::move(copy)));
+    futures.push_back(host.submit("test/gcn-sharded", std::move(copy)));
   }
   for (auto& f : futures) {
     expect_bit_identical(f.get().output, expected, "sharded serving");
   }
-}
-
-TEST(InferenceServer, FailuresPropagateToFutures) {
-  // Feature width 3 never matches the model's in_dim: the batch fails, and
-  // every rider's future carries the error instead of hanging.
-  serve::ServerConfig cfg;
-  cfg.batch.max_batch = 2;
-  InferenceServer server("test/gcn-badwidth", serving_gcn, cfg);
-  InferenceRequest bad = make_request(8, 11);
-  bad.features = Tensor::full(8, 3, 1.f);
-  std::future<serve::InferenceResult> fut = server.submit(std::move(bad));
-  EXPECT_THROW(fut.get(), Error);
-  server.shutdown();
-  EXPECT_EQ(server.stats().failed, 1u);
-  EXPECT_THROW(server.submit(make_request(8, 12)), Error);
-}
-
-TEST(AdaptiveBatcherBackpressure, TryEnqueueRefusesWhenFull) {
-  // Exercised at the batcher layer, where fullness is deterministic (a
-  // server's workers would drain the queue at scheduler-dependent times).
-  BatchPolicy policy;
-  policy.queue_capacity = 2;
-  AdaptiveBatcher<int> batcher(policy);
-  EXPECT_TRUE(batcher.try_enqueue(0));
-  EXPECT_TRUE(batcher.try_enqueue(1));
-  EXPECT_FALSE(batcher.try_enqueue(2));
-  EXPECT_EQ(batcher.depth(), 2u);
+  host.shutdown();
+  // The batches really ran shard-parallel: only per-shard walks charge this.
+  EXPECT_GT(host.stats("test/gcn-sharded").counters.walk_ns, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 //    entirely under the old or entirely under the new weights, bitwise;
 //  * the open-loop load generator is seeded-deterministic and its report
 //    fields satisfy the accounting identities;
+//  * it times each request from its due instant, so a generator running
+//    behind schedule charges its send lag to the client-side latency;
 //  * an enabled SloPolicy provably engages inside the host (counted shrinks,
 //    effective max-wait below the static knob).
 #include <gtest/gtest.h>
@@ -464,6 +466,43 @@ TEST(Loadgen, SeededSmokeWithConsistentAccounting) {
   EXPECT_EQ(hs.total.completed, r.completed);
   EXPECT_EQ(hs.total.shed, r.shed);
   EXPECT_EQ(hs.total.rejected, r.rejected);
+}
+
+TEST(Loadgen, LatencyCountsSendLagFromTheDueInstant) {
+  // 1e7 rps schedules all 64 arrivals within a few microseconds, faster than
+  // one thread can submit them, so the generator falls behind. Timing each
+  // request from its due instant charges that lag to the request instead of
+  // silently dropping it (coordinated omission): client latency = send lag +
+  // the host's own submit-to-result latency, request by request.
+  ServingHost host({.workers = 2});
+  host.register_model("lag/gcn", host_gcn);
+  host.register_model("lag/gat", host_gat);
+  std::vector<serve::TrafficClass> classes(2);
+  classes[0].model = "lag/gcn";
+  classes[0].requests.push_back(make_request(8, 31));
+  classes[1].model = "lag/gat";
+  classes[1].requests.push_back(make_request(10, 32));
+  serve::LoadSpec spec;
+  spec.rate_rps = 1e7;
+  spec.total_requests = 64;
+  spec.seed = 5;
+  const serve::LoadReport r = serve::run_open_loop(host, classes, spec);
+  host.shutdown();
+
+  // All Normal priority into a 1024-deep queue: every arrival is served.
+  ASSERT_EQ(r.completed, r.offered);
+  EXPECT_EQ(r.send_lag.count, r.offered);
+  EXPECT_GT(r.send_lag.max, 0.0);
+
+  double client_sum = 0, host_sum = 0;
+  for (const auto& [name, m] : r.models) {
+    const serve::ServerStats s = host.stats(name);
+    ASSERT_EQ(m.latency.count, s.latency.count) << name;  // same requests
+    EXPECT_GE(m.latency.p99, s.latency.p99) << name;
+    client_sum += m.latency.sum;
+    host_sum += s.latency.sum;
+  }
+  EXPECT_NEAR(client_sum, host_sum + r.send_lag.sum, 1e-9);
 }
 
 TEST(Loadgen, DecisionSequenceIsSeedDeterministic) {

@@ -1,6 +1,6 @@
 // Sharded-execution tests: bit-identical determinism across shard counts,
-// the ParallelPlanRunner surface, per-shard plan schedules, and the
-// combine-traffic accounting of the device model.
+// a PlanRunner with an installed Partitioning, per-shard plan schedules, and
+// the combine-traffic accounting of the device model.
 //
 // The determinism guarantee is structural, not statistical: owned-vertex
 // ranges are contiguous (per-vertex sequential reductions see the same edge
@@ -15,7 +15,7 @@
 
 #include "baselines/strategy.h"
 #include "engine/device.h"
-#include "engine/parallel_runner.h"
+#include "engine/plan.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "models/models.h"
@@ -158,7 +158,7 @@ TEST(Sharded, UnfusedKernelsBitIdenticalWhenSharded) {
   }
 }
 
-TEST(Sharded, ParallelPlanRunnerMatchesPlanRunner) {
+TEST(Sharded, PartitionedPlanRunnerMatchesPlanRunner) {
   const Graph g = test_graph();
   Rng mrng(7);
   Compiled c = compile_model(gat_model(mrng, 6), ours(), /*training=*/false, g);
@@ -171,9 +171,11 @@ TEST(Sharded, ParallelPlanRunnerMatchesPlanRunner) {
   }
   serial.run();
 
-  ParallelPlanRunner sharded(g, c.plan, /*num_shards=*/4,
-                             PartitionStrategy::DegreeBalanced, &pool_b);
-  EXPECT_EQ(sharded.num_shards(), 4);
+  const Partitioning part = Partitioning::build(
+      g, /*num_shards=*/4, PartitionStrategy::DegreeBalanced);
+  EXPECT_EQ(part.num_shards(), 4);
+  PlanRunner sharded(g, c.plan, &pool_b);
+  sharded.set_partitioning(&part);
   sharded.bind(c.features, random_features(g.num_vertices(), 6, &pool_b));
   for (std::size_t i = 0; i < c.params.size(); ++i) {
     sharded.bind(c.params[i], c.init[i].clone(MemTag::kWeights, &pool_b));

@@ -8,7 +8,10 @@
 // bit-identical, and emits both rows — so the JSON carries the interpreter
 // baseline next to the specialized speedup per width. The legacy
 // thread-mapping and fusion micro comparisons (Figure 5's gather trade-off,
-// fused vs unfused scatter-apply-gather) ride along as extra rows.
+// fused vs unfused scatter-apply-gather) ride along as extra rows. The dense
+// rows time the Linear and weight-gradient kernels on the benchmark
+// workloads' shapes against the naive loop, in GFLOP/s, bit-identity-checked
+// the same way.
 //
 // `--no-specialize` keeps only the interpreter rows (the ablation trajectory).
 #include <cstdio>
@@ -468,6 +471,62 @@ void run_fusion_pair(bench::JsonReport& report, const Graph& g, std::int64_t f,
                  "\"");
 }
 
+// --- dense rows: the tile-parallel GEMM against the naive loop --------------
+
+/// The dense contract as a loop: one chain `acc = acc + a*b` per output
+/// element over ascending k (tensor/ops.h). op(A) is A or Aᵀ.
+void naive_matmul(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a) {
+  const std::int64_t k = trans_a ? a.rows() : a.cols();
+  for (std::int64_t i = 0; i < c.rows(); ++i) {
+    for (std::int64_t j = 0; j < c.cols(); ++j) {
+      float acc = 0.f;
+      for (std::int64_t p = 0; p < k; ++p) {
+        const float av = trans_a ? a.row(p)[i] : a.row(i)[p];
+        acc = acc + av * b.row(p)[j];
+      }
+      c.row(i)[j] = acc;
+    }
+  }
+}
+
+/// One Linear (C = X·W) or weight-gradient (C = Xᵀ·G) shape, m x n over k:
+/// a naive-loop baseline row and a row through the engine kernel, which must
+/// give the same bits. Both rows report GFLOP/s.
+void run_dense(bench::JsonReport& report, const std::string& name,
+               std::int64_t m, std::int64_t n, std::int64_t k, bool wgrad,
+               int reps) {
+  Rng rng(5);
+  const Tensor a = wgrad ? Tensor::randn(k, m, rng) : Tensor::randn(m, k, rng);
+  const Tensor b = Tensor::randn(k, n, rng);
+  Tensor want(m, n);
+  Tensor got(m, n);
+  const bench::Measurement naive =
+      time_fn([&] { naive_matmul(a, b, want, wgrad); }, reps);
+  const bench::Measurement tiled = time_fn(
+      [&] {
+        if (wgrad) {
+          kernels::linear_wgrad(a, b, got, 0, 0);
+        } else {
+          kernels::linear(a, b, got, 0, 0);
+        }
+      },
+      reps);
+  if (std::memcmp(want.data(), got.data(), want.bytes()) != 0) {
+    std::fprintf(stderr, "FATAL: dense/%s differs from the naive loop\n",
+                 name.c_str());
+    std::exit(1);
+  }
+  const auto gflops = [&](const bench::Measurement& t) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "\"gflops\": %.3f",
+                  2.0 * static_cast<double>(m * n * k) / t.seconds / 1e9);
+    return std::string(buf);
+  };
+  report.row("dense/" + name, "naive", naive, naive, gflops(naive));
+  report.row("dense/" + name, "tiled", tiled, naive,
+             gflops(tiled) + ", \"bit_identical\": true");
+}
+
 int run(int argc, char** argv) {
   bench::Options opt = bench::Options::parse(argc, argv);
   const int reps = std::max(3, opt.steps * 3);
@@ -521,6 +580,13 @@ int run(int argc, char** argv) {
     run_case(report, g, build_sum_eb(g, w, rng), w, opt, reps);
   }
   run_case(report, g, build_sum_eb(g, 48, rng), 48, opt, reps);  // dyn
+
+  // Dense shapes of the benchmark workloads: EdgeConv's layer-3 Linear
+  // (2048 points, 128 -> 256) and its weight gradient, and GAT's attention
+  // projection weight gradient (64 -> 4 over 2^14 vertices).
+  run_dense(report, "edgeconv_linear_2048x128x256", 2048, 256, 128, false, reps);
+  run_dense(report, "edgeconv_wgrad_128x256_k2048", 128, 256, 2048, true, reps);
+  run_dense(report, "gat_attn_wgrad_64x4_k16384", 64, 4, 16384, true, reps);
 
   run_gather_mapping(report, g, 16, reps);
   run_gather_mapping(report, g, 64, reps);

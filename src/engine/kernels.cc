@@ -283,16 +283,7 @@ void apply_binary(ApplyFn fn, const Tensor& a, const Tensor& b, Tensor& out,
 void linear(const Tensor& x, const Tensor& w, Tensor& out, std::int64_t wrow_lo,
             std::int64_t wrow_hi) {
   if (wrow_hi == 0) wrow_hi = w.rows();
-  Tensor wview;
-  const Tensor* pw = &w;
-  if (wrow_lo != 0 || wrow_hi != w.rows()) {
-    wview = Tensor(wrow_hi - wrow_lo, w.cols(), MemTag::kWorkspace);
-    for (std::int64_t r = wrow_lo; r < wrow_hi; ++r) {
-      std::copy_n(w.row(r), w.cols(), wview.row(r - wrow_lo));
-    }
-    pw = &wview;
-  }
-  ops::matmul(x, *pw, out);
+  ops::matmul(ops::rows_of(x), ops::rows_of(w, wrow_lo, wrow_hi), ops::rows_of(out));
   const auto k = static_cast<std::uint64_t>(wrow_hi - wrow_lo);
   charge(x.bytes() + k * w.cols() * 4, out.bytes(),
          2 * static_cast<std::uint64_t>(x.rows()) * k * w.cols());
@@ -301,16 +292,11 @@ void linear(const Tensor& x, const Tensor& w, Tensor& out, std::int64_t wrow_lo,
 void linear_wgrad(const Tensor& x, const Tensor& grad, Tensor& out,
                   std::int64_t wrow_lo, std::int64_t wrow_hi) {
   if (wrow_hi == 0) wrow_hi = out.rows();
-  out.fill(0.f);
-  if (wrow_lo == 0 && wrow_hi == out.rows()) {
-    ops::matmul(x, grad, out, /*trans_a=*/true);
-  } else {
-    Tensor window(wrow_hi - wrow_lo, out.cols(), MemTag::kWorkspace);
-    ops::matmul(x, grad, window, /*trans_a=*/true);
-    for (std::int64_t r = wrow_lo; r < wrow_hi; ++r) {
-      std::copy_n(window.row(r - wrow_lo), out.cols(), out.row(r));
-    }
-  }
+  ops::matmul(ops::rows_of(x), ops::rows_of(grad),
+              ops::rows_of(out, wrow_lo, wrow_hi), /*trans_a=*/true);
+  // Rows outside the window get no gradient.
+  std::fill(out.data(), out.row(wrow_lo), 0.f);
+  std::fill(out.row(wrow_hi), out.row(out.rows()), 0.f);
   charge(x.bytes() + grad.bytes(), out.bytes(),
          2 * static_cast<std::uint64_t>(x.rows()) * x.cols() * grad.cols());
 }
@@ -318,17 +304,10 @@ void linear_wgrad(const Tensor& x, const Tensor& grad, Tensor& out,
 void linear_xgrad(const Tensor& grad, const Tensor& w, Tensor& out,
                   std::int64_t wrow_lo, std::int64_t wrow_hi) {
   if (wrow_hi == 0) wrow_hi = w.rows();
-  Tensor wview;
-  const Tensor* pw = &w;
-  if (wrow_lo != 0 || wrow_hi != w.rows()) {
-    wview = Tensor(wrow_hi - wrow_lo, w.cols(), MemTag::kWorkspace);
-    for (std::int64_t r = wrow_lo; r < wrow_hi; ++r) {
-      std::copy_n(w.row(r), w.cols(), wview.row(r - wrow_lo));
-    }
-    pw = &wview;
-  }
-  ops::matmul(grad, *pw, out, /*trans_a=*/false, /*trans_b=*/true);
-  charge(grad.bytes() + pw->bytes(), out.bytes(),
+  ops::matmul(ops::rows_of(grad), ops::rows_of(w, wrow_lo, wrow_hi), ops::rows_of(out),
+              /*trans_a=*/false, /*trans_b=*/true);
+  const auto k = static_cast<std::uint64_t>(wrow_hi - wrow_lo);
+  charge(grad.bytes() + k * w.cols() * 4, out.bytes(),
          2 * static_cast<std::uint64_t>(grad.rows()) * grad.cols() * out.cols());
 }
 
@@ -343,8 +322,7 @@ void head_broadcast(const Tensor& x, Tensor& out, std::int64_t heads, float alph
 }
 
 void bias(const Tensor& x, const Tensor& b, Tensor& out) {
-  ops::copy(x, out);
-  ops::add_bias(out, b);
+  ops::add_bias(x, b, out);
   charge(x.bytes() + b.bytes(), out.bytes(), static_cast<std::uint64_t>(x.numel()));
 }
 

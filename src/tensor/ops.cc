@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "support/parallel.h"
 
@@ -10,44 +11,133 @@ namespace triad::ops {
 
 namespace {
 
-// Cache-blocked kernel core: C[m,n] (+)= A[m,k] * B[k,n], contiguous inputs.
-// Inputs are materialized into row-major panels by matmul() beforehand when a
-// transpose is requested, which keeps this inner loop simple and fast.
-constexpr std::int64_t kBlockM = 64;
-constexpr std::int64_t kBlockN = 64;
-constexpr std::int64_t kBlockK = 64;
+// --- GEMM core --------------------------------------------------------------
+//
+// One pool task computes one output tile of up to kTileM x kTileN elements.
+// Inside it, k runs in blocks of kBlockK (a block is never split across
+// tasks), and each block sweeps register tiles of up to kMR rows x kNR
+// columns. Every output element stays a single chain `acc = acc + a*b` over
+// ascending k: a register tile holds kMR x kNR such chains side by side,
+// vector lanes run across output columns only, and a chain parks its partial
+// sum in C between k blocks (a float store and reload is exact). Tiling and
+// threading therefore never change a bit (the contract in ops.h).
 
-void gemm_rowmajor(const float* a, const float* b, float* c, std::int64_t m,
-                   std::int64_t n, std::int64_t k) {
-  parallel_for_chunks(0, m, [&](std::int64_t mlo, std::int64_t mhi) {
-    for (std::int64_t i0 = mlo; i0 < mhi; i0 += kBlockM) {
-      const std::int64_t i1 = std::min(i0 + kBlockM, mhi);
-      for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
-        const std::int64_t k1 = std::min(k0 + kBlockK, k);
-        for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
-          const std::int64_t j1 = std::min(j0 + kBlockN, n);
-          for (std::int64_t i = i0; i < i1; ++i) {
-            float* crow = c + i * n;
-            for (std::int64_t kk = k0; kk < k1; ++kk) {
-              const float av = a[i * k + kk];
-              const float* brow = b + kk * n;
-              for (std::int64_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
-            }
-          }
-        }
-      }
+// Four float lanes (GCC/Clang vector extension). Lane-wise * and + are the
+// scalar IEEE operations, and -ffp-contract=off keeps them unfused.
+typedef float Vec4 __attribute__((vector_size(16)));
+
+constexpr std::int64_t kTileM = 64;
+constexpr std::int64_t kTileN = 64;
+constexpr std::int64_t kBlockK = 256;
+constexpr int kMR = 4;
+constexpr int kNR = 8;
+// Products below this many multiply-adds run on the calling thread: the pool
+// fan-out would cost more than it saves.
+constexpr std::int64_t kMinParallelMacs = std::int64_t{1} << 17;
+
+inline Vec4 load4(const float* p) {
+  Vec4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store4(float* p, Vec4 v) { std::memcpy(p, &v, sizeof v); }
+
+/// One product, strides resolved: op(A)(i, p) = a[i * a_rs + p * a_cs] reads
+/// A in place whether or not it is transposed; op(B) is row-major with row
+/// stride ldb (packed beforehand when B is transposed).
+struct Gemm {
+  const float* a;
+  std::int64_t a_rs, a_cs;
+  const float* b;
+  std::int64_t ldb;
+  float* c;
+  std::int64_t ldc;
+  std::int64_t k;
+  bool accumulate;
+};
+
+/// C[i:i+MR, j:j+4*NV] over k in [k0, k0 + kc); starts from C when load_c,
+/// else from zero.
+template <int MR, int NV>
+void register_tile(const Gemm& g, std::int64_t i, std::int64_t j,
+                   std::int64_t k0, std::int64_t kc, bool load_c) {
+  float* c = g.c + i * g.ldc + j;
+  Vec4 acc[MR][NV];
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = load_c ? load4(c + r * g.ldc + 4 * v) : Vec4{};
     }
-  }, kBlockM);
+  }
+  const float* a = g.a + i * g.a_rs + k0 * g.a_cs;
+  const float* b = g.b + k0 * g.ldb + j;
+  for (std::int64_t p = 0; p < kc; ++p) {
+    const float* brow = b + p * g.ldb;
+    Vec4 bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = load4(brow + 4 * v);
+    for (int r = 0; r < MR; ++r) {
+      const float s = a[r * g.a_rs + p * g.a_cs];
+      const Vec4 av = {s, s, s, s};
+      for (int v = 0; v < NV; ++v) acc[r][v] = acc[r][v] + av * bv[v];
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < NV; ++v) store4(c + r * g.ldc + 4 * v, acc[r][v]);
+  }
 }
 
-Tensor transpose_copy(const Tensor& x) {
-  Tensor out(x.cols(), x.rows(), MemTag::kWorkspace);
-  for (std::int64_t r = 0; r < x.rows(); ++r) {
-    const float* src = x.row(r);
-    for (std::int64_t c = 0; c < x.cols(); ++c) out.at(c, r) = src[c];
+/// Rows [i0, i1) of one 4*NV-column strip: full kMR-row tiles, then the
+/// leftover rows as one shorter tile.
+template <int NV>
+void strip(const Gemm& g, std::int64_t i0, std::int64_t i1, std::int64_t j,
+           std::int64_t k0, std::int64_t kc, bool load_c) {
+  std::int64_t i = i0;
+  for (; i + kMR <= i1; i += kMR) register_tile<kMR, NV>(g, i, j, k0, kc, load_c);
+  switch (i1 - i) {
+    case 3: register_tile<3, NV>(g, i, j, k0, kc, load_c); break;
+    case 2: register_tile<2, NV>(g, i, j, k0, kc, load_c); break;
+    case 1: register_tile<1, NV>(g, i, j, k0, kc, load_c); break;
+    default: break;
   }
-  return out;
 }
+
+/// The last n % 4 columns, one scalar chain per element.
+void scalar_cols(const Gemm& g, std::int64_t i0, std::int64_t i1,
+                 std::int64_t j0, std::int64_t j1, std::int64_t k0,
+                 std::int64_t kc, bool load_c) {
+  for (std::int64_t i = i0; i < i1; ++i) {
+    for (std::int64_t j = j0; j < j1; ++j) {
+      float* c = g.c + i * g.ldc + j;
+      float acc = load_c ? *c : 0.f;
+      const float* a = g.a + i * g.a_rs + k0 * g.a_cs;
+      const float* b = g.b + k0 * g.ldb + j;
+      for (std::int64_t p = 0; p < kc; ++p) acc = acc + a[p * g.a_cs] * b[p * g.ldb];
+      *c = acc;
+    }
+  }
+}
+
+/// One task: output tile [i0, i1) x [j0, j1), all of k.
+void output_tile(const Gemm& g, std::int64_t i0, std::int64_t i1,
+                 std::int64_t j0, std::int64_t j1) {
+  for (std::int64_t k0 = 0; k0 < g.k; k0 += kBlockK) {
+    const std::int64_t kc = std::min(kBlockK, g.k - k0);
+    const bool load_c = g.accumulate || k0 > 0;
+    std::int64_t j = j0;
+    for (; j + kNR <= j1; j += kNR) strip<kNR / 4>(g, i0, i1, j, k0, kc, load_c);
+    if (j + 4 <= j1) {
+      strip<1>(g, i0, i1, j, k0, kc, load_c);
+      j += 4;
+    }
+    if (j < j1) scalar_cols(g, i0, i1, j, j1, k0, kc, load_c);
+  }
+}
+
+// Elementwise work per pool task; ranges up to this size run on the calling
+// thread. Each element is independent, so any chunking gives the same bits.
+constexpr std::int64_t kElemGrain = std::int64_t{1} << 14;
+// bias_grad's column block: one cache line of floats per row.
+constexpr std::int64_t kColBlock = 16;
 
 template <typename F>
 void unary(const Tensor& x, Tensor& out, F f) {
@@ -55,8 +145,9 @@ void unary(const Tensor& x, Tensor& out, F f) {
   TRIAD_CHECK_EQ(x.cols(), out.cols());
   const float* in = x.data();
   float* o = out.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) o[i] = f(in[i]);
+  parallel_for_chunks(0, x.numel(), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) o[i] = f(in[i]);
+  }, kElemGrain);
 }
 
 template <typename F>
@@ -68,54 +159,115 @@ void binary(const Tensor& a, const Tensor& b, Tensor& out, F f) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* o = out.data();
-  const std::int64_t n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) o[i] = f(pa[i], pb[i]);
+  parallel_for_chunks(0, a.numel(), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) o[i] = f(pa[i], pb[i]);
+  }, kElemGrain);
 }
 
 }  // namespace
 
-void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a,
-            bool trans_b, bool accumulate) {
-  const std::int64_t m = trans_a ? a.cols() : a.rows();
-  const std::int64_t k = trans_a ? a.rows() : a.cols();
-  const std::int64_t kb = trans_b ? b.cols() : b.rows();
-  const std::int64_t n = trans_b ? b.rows() : b.cols();
-  TRIAD_CHECK_EQ(k, kb, "matmul inner dim");
-  TRIAD_CHECK_EQ(c.rows(), m);
-  TRIAD_CHECK_EQ(c.cols(), n);
-  if (!accumulate) c.fill(0.f);
-  Tensor at_storage, bt_storage;
-  const float* pa = a.data();
-  const float* pb = b.data();
-  if (trans_a) {
-    at_storage = transpose_copy(a);
-    pa = at_storage.data();
-  }
-  if (trans_b) {
-    bt_storage = transpose_copy(b);
-    pb = bt_storage.data();
-  }
-  gemm_rowmajor(pa, pb, c.data(), m, n, k);
+MatView<const float> rows_of(const Tensor& t, std::int64_t lo, std::int64_t hi) {
+  if (hi < 0) hi = t.rows();
+  TRIAD_CHECK(0 <= lo && lo <= hi && hi <= t.rows(),
+              "row window [" << lo << "," << hi << ") of " << t.rows() << " rows");
+  return {t.data() + lo * t.cols(), hi - lo, t.cols(), t.cols()};
 }
 
-void add_bias(Tensor& y, const Tensor& bias) {
-  TRIAD_CHECK_EQ(bias.rows(), 1);
-  TRIAD_CHECK_EQ(bias.cols(), y.cols());
-  const float* b = bias.data();
-  for (std::int64_t r = 0; r < y.rows(); ++r) {
-    float* row = y.row(r);
-    for (std::int64_t c = 0; c < y.cols(); ++c) row[c] += b[c];
+MatView<float> rows_of(Tensor& t, std::int64_t lo, std::int64_t hi) {
+  const MatView<const float> v = rows_of(std::as_const(t), lo, hi);
+  return {const_cast<float*>(v.data), v.rows, v.cols, v.ld};
+}
+
+void matmul(MatView<const float> a, MatView<const float> b, MatView<float> c,
+            bool trans_a, bool trans_b, bool accumulate) {
+  const std::int64_t m = trans_a ? a.cols : a.rows;
+  const std::int64_t k = trans_a ? a.rows : a.cols;
+  const std::int64_t kb = trans_b ? b.cols : b.rows;
+  const std::int64_t n = trans_b ? b.rows : b.cols;
+  TRIAD_CHECK_EQ(k, kb, "matmul inner dim");
+  TRIAD_CHECK_EQ(c.rows, m);
+  TRIAD_CHECK_EQ(c.cols, n);
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    if (!accumulate) {
+      for (std::int64_t i = 0; i < m; ++i) std::fill_n(c.data + i * c.ld, n, 0.f);
+    }
+    return;
   }
+  Gemm g{a.data, trans_a ? 1 : a.ld, trans_a ? a.ld : 1, b.data, b.ld,
+         c.data, c.ld, k, accumulate};
+  // A transposed B (the small weight of LinearXGrad) is packed row-major so
+  // the vector lanes can load op(B) rows.
+  Tensor bt;
+  if (trans_b) {
+    bt = Tensor(k, n, MemTag::kWorkspace);
+    float* dst = bt.data();
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float* src = b.data + j * b.ld;
+      for (std::int64_t p = 0; p < k; ++p) dst[p * n + j] = src[p];
+    }
+    g.b = dst;
+    g.ldb = n;
+  }
+  const std::int64_t tiles_n = (n + kTileN - 1) / kTileN;
+  const std::int64_t tiles = (m + kTileM - 1) / kTileM * tiles_n;
+  const auto run = [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t t = lo; t < hi; ++t) {
+      const std::int64_t i0 = t / tiles_n * kTileM;
+      const std::int64_t j0 = t % tiles_n * kTileN;
+      output_tile(g, i0, std::min(i0 + kTileM, m), j0, std::min(j0 + kTileN, n));
+    }
+  };
+  if (m * n * k < kMinParallelMacs) {
+    run(0, tiles);
+  } else {
+    parallel_for_chunks(0, tiles, run, 1);
+  }
+}
+
+void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a,
+            bool trans_b, bool accumulate) {
+  matmul(rows_of(a), rows_of(b), rows_of(c), trans_a, trans_b, accumulate);
+}
+
+void add_bias(const Tensor& x, const Tensor& bias, Tensor& out) {
+  TRIAD_CHECK_EQ(bias.rows(), 1);
+  TRIAD_CHECK_EQ(bias.cols(), x.cols());
+  TRIAD_CHECK_EQ(out.rows(), x.rows());
+  TRIAD_CHECK_EQ(out.cols(), x.cols());
+  const std::int64_t cols = x.cols();
+  const float* b = bias.data();
+  parallel_for_chunks(0, x.rows(), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t r = lo; r < hi; ++r) {
+      const float* in = x.row(r);
+      float* o = out.row(r);
+      for (std::int64_t c = 0; c < cols; ++c) o[c] = in[c] + b[c];
+    }
+  }, std::max<std::int64_t>(1, kElemGrain / std::max<std::int64_t>(1, cols)));
 }
 
 void bias_grad(const Tensor& grad, Tensor& bg, bool accumulate) {
   TRIAD_CHECK_EQ(bg.rows(), 1);
   TRIAD_CHECK_EQ(bg.cols(), grad.cols());
-  if (!accumulate) bg.fill(0.f);
+  const std::int64_t rows = grad.rows();
   float* out = bg.data();
-  for (std::int64_t r = 0; r < grad.rows(); ++r) {
-    const float* row = grad.row(r);
-    for (std::int64_t c = 0; c < grad.cols(); ++c) out[c] += row[c];
+  // Each column is one sum in row order, so column blocks run independently.
+  const auto sum_cols = [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t c0 = lo; c0 < hi; c0 += kColBlock) {
+      const std::int64_t w = std::min(kColBlock, hi - c0);
+      float acc[kColBlock];
+      for (std::int64_t c = 0; c < w; ++c) acc[c] = accumulate ? out[c0 + c] : 0.f;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const float* row = grad.row(r) + c0;
+        for (std::int64_t c = 0; c < w; ++c) acc[c] += row[c];
+      }
+      std::copy_n(acc, w, out + c0);
+    }
+  };
+  if (grad.numel() <= kElemGrain) {
+    sum_cols(0, grad.cols());
+  } else {
+    parallel_for_chunks(0, grad.cols(), sum_cols, kColBlock);
   }
 }
 

@@ -12,14 +12,36 @@
 
 namespace triad::ops {
 
-/// C (+)= op(A) * op(B). Blocked SGEMM, row-major.
+/// A row-major matrix read or written in place: element (r, c) lives at
+/// data[r * ld + c]. Views a whole Tensor or a window of its rows.
+template <typename T>
+struct MatView {
+  T* data = nullptr;
+  std::int64_t rows = 0;
+  std::int64_t cols = 0;
+  std::int64_t ld = 0;  ///< row stride in elements (>= cols)
+};
+
+/// Rows [lo, hi) of t; hi < 0 means t.rows().
+MatView<const float> rows_of(const Tensor& t, std::int64_t lo = 0,
+                             std::int64_t hi = -1);
+MatView<float> rows_of(Tensor& t, std::int64_t lo = 0, std::int64_t hi = -1);
+
+/// C (+)= op(A) * op(B), row-major.
 /// A is (m,k) when !trans_a else (k,m); B is (k,n) when !trans_b else (n,k).
+///
+/// Contract: every output element is summed as `acc = acc + a*b` over k in
+/// ascending order, starting from 0 (or from C's value when `accumulate`),
+/// with each multiply and add rounded separately. The result is therefore the
+/// same bits for any tiling and any thread count (tests/test_dense.cc).
+void matmul(MatView<const float> a, MatView<const float> b, MatView<float> c,
+            bool trans_a = false, bool trans_b = false, bool accumulate = false);
 void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a = false,
             bool trans_b = false, bool accumulate = false);
 
-/// y[r, :] += bias[0, :] for every row.
-void add_bias(Tensor& y, const Tensor& bias);
-/// bias_grad[0, :] (+)= column-sums of grad.
+/// out[r, :] = x[r, :] + bias[0, :] for every row (out may alias x).
+void add_bias(const Tensor& x, const Tensor& bias, Tensor& out);
+/// bias_grad[0, :] (+)= column-sums of grad, each column summed in row order.
 void bias_grad(const Tensor& grad, Tensor& bias_grad, bool accumulate);
 
 // --- Elementwise unary (out may alias x) ---------------------------------

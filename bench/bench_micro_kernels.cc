@@ -2,11 +2,11 @@
 // specialized-core before/after gate. For each core shape the optimizer can
 // produce — the forward set (gcn_wsum, gat_softmax, edgeconv_max,
 // monet_gauss), the training gradients (maxbwd_gather, gat_scorebwd,
-// gauss_bwd) and the edge-balanced fold (sum_eb) — the bench hand builds the
-// exact post-fusion EdgeProgram, runs it once through the VM interpreter and
-// once through the bound core (match_core must fire), checks the outputs are
-// bit-identical, and emits both rows — so the JSON carries the interpreter
-// baseline next to the specialized speedup per width. The legacy
+// gat_attnbwd, gauss_bwd) and the edge-balanced fold (sum_eb) — the bench
+// hand builds the exact post-fusion EdgeProgram, runs it once through the VM
+// interpreter and once through the bound core (match_core must fire), checks
+// the outputs are bit-identical, and emits both rows — so the JSON carries
+// the interpreter baseline next to the specialized speedup per width. The legacy
 // thread-mapping and fusion micro comparisons (Figure 5's gather trade-off,
 // fused vs unfused scatter-apply-gather) ride along as extra rows. The dense
 // rows time the Linear and weight-gradient kernels on the benchmark
@@ -14,6 +14,7 @@
 // the same way.
 //
 // `--no-specialize` keeps only the interpreter rows (the ablation trajectory).
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -312,6 +313,80 @@ ProgramCase build_gat_scorebwd(const Graph& g, std::int64_t h, Rng& rng) {
   return pc;
 }
 
+/// GAT attention-aggregation backward: the two-phase program fusion emits
+/// per layer (h heads of f features). Its feature gradient is the boundary
+/// output the interpreter stashes and the core's combine recomputes. `sum`
+/// rows are positive, as a forward softmax denominator is.
+ProgramCase build_gat_attnbwd(const Graph& g, std::int64_t h, std::int64_t f,
+                              Rng& rng) {
+  const float alpha = 0.2f;
+  const std::int64_t w = h * f;
+  const std::int64_t n = g.num_vertices();
+  ProgramCase pc;
+  pc.name = "gat_attnbwd";
+  pc.backward = true;
+  pc.inputs.emplace(1, Tensor::randn(n, h, rng));  // a_l
+  pc.inputs.emplace(2, Tensor::randn(n, h, rng));  // a_r
+  pc.inputs.emplace(3, Tensor::randn(n, w, rng));  // dL/dout
+  pc.inputs.emplace(4, Tensor::randn(n, h, rng));  // softmax max
+  Tensor sum = Tensor::randn(n, h, rng);
+  for (std::int64_t i = 0; i < sum.numel(); ++i) {
+    sum.data()[i] = 1.f + std::abs(sum.data()[i]);
+  }
+  pc.inputs.emplace(5, std::move(sum));             // softmax denominator
+  pc.inputs.emplace(6, Tensor::randn(n, w, rng));   // projected features
+  EdgeProgram& ep = pc.ep;
+  ep.phases.resize(2);
+  ep.phases[0].instrs = {
+      {EPOp::LoadU, 0, -1, -1, 1, -1, -1, 0.f, 1, h},
+      {EPOp::LoadV, 1, -1, -1, 2, -1, -1, 0.f, 1, h},
+      {EPOp::Add, 2, 0, 1, -1, -1, -1, 0.f, 1, h},
+      {EPOp::StoreE, -1, 2, -1, 10, -1, -1, 0.f, 1, h},
+      {EPOp::LoadV, 3, -1, -1, 3, -1, -1, 0.f, 1, w},
+      {EPOp::LeakyReLU, 4, 2, -1, -1, -1, -1, alpha, 1, h},
+      {EPOp::LoadV, 5, -1, -1, 4, -1, -1, 0.f, 1, h},
+      {EPOp::Sub, 6, 4, 5, -1, -1, -1, 0.f, 1, h},
+      {EPOp::Exp, 7, 6, -1, -1, -1, -1, 0.f, 1, h},
+      {EPOp::LoadV, 8, -1, -1, 5, -1, -1, 0.f, 1, h},
+      {EPOp::Div, 9, 7, 8, -1, -1, -1, 0.f, 1, h},
+      {EPOp::MulHead, 10, 3, 9, -1, -1, -1, 0.f, h, w},
+      {EPOp::Reduce, -1, 10, -1, -1, -1, 0, 0.f, 1, w},
+      {EPOp::LoadU, 11, -1, -1, 6, -1, -1, 0.f, 1, w},
+      {EPOp::DotHead, 12, 3, 11, -1, -1, -1, 0.f, h, h},
+      {EPOp::Mul, 13, 12, 9, -1, -1, -1, 0.f, 1, h},
+      {EPOp::Div, 14, 13, 8, -1, -1, -1, 0.f, 1, h},
+      {EPOp::Reduce, -1, 14, -1, -1, -1, 1, 0.f, 1, h},
+  };
+  ep.phases[1].instrs = {
+      {EPOp::LoadV, 15, -1, -1, 3, -1, -1, 0.f, 1, w},
+      {EPOp::LoadU, 16, -1, -1, 6, -1, -1, 0.f, 1, w},
+      {EPOp::DotHead, 17, 15, 16, -1, -1, -1, 0.f, h, h},
+      {EPOp::LoadV, 18, -1, -1, 5, -1, -1, 0.f, 1, h},
+      {EPOp::Div, 19, 17, 18, -1, -1, -1, 0.f, 1, h},
+      {EPOp::LoadAcc, 20, -1, -1, 8, -1, -1, 0.f, 1, h},
+      {EPOp::Sub, 21, 19, 20, -1, -1, -1, 0.f, 1, h},
+      {EPOp::LoadU, 22, -1, -1, 1, -1, -1, 0.f, 1, h},
+      {EPOp::LoadV, 23, -1, -1, 2, -1, -1, 0.f, 1, h},
+      {EPOp::Add, 24, 22, 23, -1, -1, -1, 0.f, 1, h},
+      {EPOp::LeakyReLU, 25, 24, -1, -1, -1, -1, alpha, 1, h},
+      {EPOp::LoadV, 26, -1, -1, 4, -1, -1, 0.f, 1, h},
+      {EPOp::Sub, 27, 25, 26, -1, -1, -1, 0.f, 1, h},
+      {EPOp::Exp, 28, 27, -1, -1, -1, -1, 0.f, 1, h},
+      {EPOp::ExpGrad, 29, 21, 28, -1, -1, -1, 0.f, 1, h},
+      {EPOp::StoreE, -1, 29, -1, 11, -1, -1, 0.f, 1, h},
+      {EPOp::Reduce, -1, 29, -1, -1, -1, 2, 0.f, 1, h},
+  };
+  ep.vertex_outputs = {
+      {7, static_cast<std::uint8_t>(ReduceFn::Sum), w, 0, true, true, false},
+      {8, static_cast<std::uint8_t>(ReduceFn::Sum), h, 0, false, false, false},
+      {9, static_cast<std::uint8_t>(ReduceFn::Sum), h, 1, false, false, false}};
+  ep.edge_outputs = {{10, h}, {11, h}};
+  ep.num_regs = 30;
+  ep.reg_width.assign(30, h);
+  for (const int r : {3, 10, 11, 15, 16}) ep.reg_width[r] = w;
+  return pc;
+}
+
 /// MoNet gradient (src-major): gaussian weights and per-kernel feature dots
 /// stashed to edge outputs, plus the sequential weighted feature gather.
 ProgramCase build_gauss_bwd(const Graph& g, std::int64_t k, std::int64_t f,
@@ -573,6 +648,10 @@ int run(int argc, char** argv) {
        {std::int64_t{2}, std::int64_t{4}, std::int64_t{8}}) {
     run_case(report, g, build_gat_scorebwd(g, h, rng), h, opt, reps);
   }
+  // GAT's attention backward at the benchmark GAT's two layer shapes: 4
+  // heads x 16 (the w16 template) and the 1-head x 8 classifier (dyn).
+  run_case(report, g, build_gat_attnbwd(g, 4, 16, rng), 16, opt, reps);
+  run_case(report, g, build_gat_attnbwd(g, 1, 8, rng), 8, opt, reps);
   for (const std::int64_t f : {std::int64_t{16}, std::int64_t{64}}) {
     run_case(report, g, build_gauss_bwd(g, 2, f, rng), f, opt, reps);
   }

@@ -149,6 +149,17 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
     }
   }
 
+  // Kernel specialization: bind a hand-written core to every edge program the
+  // matcher recognizes. Pure compile-time work — the runner just dispatches on
+  // the stored binding, and kind == None means the interpreter. Bound before
+  // the peak simulation, which must know which programs stash.
+  p.cores_.resize(ir.programs.size());
+  if (specialize) {
+    for (std::size_t i = 0; i < ir.programs.size(); ++i) {
+      p.cores_[i] = match_core(ir.programs[i]);
+    }
+  }
+
   // Simulate one run over the schedule for the peak estimate. The same
   // simulation replays per shard with footprints rescaled to the shard's
   // owned vertices / local edges (parameters replicated in full), yielding
@@ -190,8 +201,9 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
     std::size_t peak = live;
     for (int id = 0; id < n; ++id) {
       const Node& nd = ir.node(id);
-      // Bytes alive only while this step executes (the VM's boundary-combine
-      // stash: one |E|-row workspace per cross-orientation reduction).
+      // Bytes alive only while this step executes: the VM's boundary-combine
+      // stash, one |E|-row workspace per cross-orientation reduction the
+      // interpreter cannot elide. A bound core never stashes.
       std::size_t transient = 0;
       switch (nd.kind) {
         case OpKind::Input:
@@ -200,11 +212,11 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
           break;
         case OpKind::Fused: {
           const EdgeProgram& ep = ir.programs.at(nd.program);
-          for (const VertexOutput& vo : ep.vertex_outputs) {
+          const bool interpreted = !p.cores_[nd.program].specialized();
+          for (std::size_t i = 0; i < ep.vertex_outputs.size(); ++i) {
+            const VertexOutput& vo = ep.vertex_outputs[i];
             live += scaled(vo.node);
-            const bool boundary = ep.mapping == WorkMapping::EdgeBalanced ||
-                                  vo.reverse == ep.dst_major;
-            if (boundary) {
+            if (interpreted && interpreter_stashes(ep, i)) {
               transient += static_cast<std::size_t>(m_e * vo.width) * sizeof(float);
             }
           }
@@ -236,16 +248,6 @@ ExecutionPlan ExecutionPlan::compile(IrGraph ir, std::int64_t num_vertices,
       ss.interior_edges = sh.interior_in_edges();
       ss.estimated_peak_bytes =
           simulate(ss.num_vertices, ss.local_edges, &ss.persistent_bytes);
-    }
-  }
-
-  // Kernel specialization: bind a hand-written core to every edge program the
-  // matcher recognizes. Pure compile-time work — the runner just dispatches on
-  // the stored binding, and kind == None means the interpreter.
-  p.cores_.resize(ir.programs.size());
-  if (specialize) {
-    for (std::size_t i = 0; i < ir.programs.size(); ++i) {
-      p.cores_[i] = match_core(ir.programs[i]);
     }
   }
 

@@ -103,7 +103,10 @@ class ExecutionPlan {
   bool is_output(int id) const { return is_output_[id] != 0; }
 
   /// Analytic memory model of one run: bytes pinned for the whole run
-  /// (bound inputs + parameters) and the simulated allocation peak.
+  /// (bound inputs + parameters) and the simulated allocation peak. The
+  /// simulation charges a boundary stash only where the runtime allocates
+  /// one (interpreter_stashes in engine/vm.h, for a program no core is bound
+  /// to).
   std::size_t persistent_bytes() const { return persistent_bytes_; }
   std::size_t estimated_peak_bytes() const { return estimated_peak_bytes_; }
 

@@ -1,9 +1,12 @@
 #include "engine/specialize.h"
 
+#include <type_traits>
+
 #include "engine/vm.h"
 #include "ir/graph.h"
 
 #include "engine/cores/edgeconv_max.h"
+#include "engine/cores/gat_attnbwd.h"
 #include "engine/cores/gat_scorebwd.h"
 #include "engine/cores/gat_softmax.h"
 #include "engine/cores/gauss_bwd.h"
@@ -370,6 +373,155 @@ CoreBinding match_gat_scorebwd(const EdgeProgram& ep) {
   return cb;
 }
 
+/// True when `in` is a Load of `op` at `width` whose tensor matches *t,
+/// capturing the tensor on first use (*t < 0).
+bool match_load(const EPInstr& in, EPOp op, std::int64_t width, int* t) {
+  if (in.op != op || in.width != width) return false;
+  if (*t < 0) *t = in.tensor;
+  return in.tensor == *t;
+}
+
+/// True when vertex output `out` exists and is a Sum with the given role
+/// (boundary or sequential), feeding phase and width: pins a Reduce's target.
+bool is_output(const EdgeProgram& ep, int out, bool boundary, int phase,
+               std::int64_t width) {
+  if (out < 0 || out >= static_cast<int>(ep.vertex_outputs.size())) return false;
+  const VertexOutput& vo = ep.vertex_outputs[out];
+  return is_sum(vo) && vo.phase == phase && vo.width == width &&
+         seq_reduce(ep, vo) != boundary;
+}
+
+/// GAT backward (attention-aggregation program): a two-phase program whose
+/// boundary output is the feature gradient (see engine/cores/gat_attnbwd.h).
+CoreBinding match_gat_attnbwd(const EdgeProgram& ep) {
+  CoreBinding cb;
+  if (!ep.dst_major || ep.phases.size() != 2) return cb;
+  if (ep.vertex_outputs.size() != 3 || ep.edge_outputs.size() != 2) return cb;
+  const auto& p0 = ep.phases[0].instrs;
+  const auto& p1 = ep.phases[1].instrs;
+  if (p0.size() != 18 || p1.size() != 17) return cb;
+  const std::int64_t h = p0[0].width;  // heads
+  const std::int64_t w = p0[4].width;  // heads * f
+  if (h <= 0 || w % h != 0) return cb;
+  int t_al = -1, t_ar = -1, t_g = -1, t_max = -1, t_sum = -1, t_ht = -1;
+  // Phase 0: score + store, softmax weight, weighted gradient (boundary),
+  // dot with the features scaled into the phase-0 sequential sum.
+  const EPInstr& lu = p0[0];    // load_u al
+  const EPInstr& lv = p0[1];    // load_v ar
+  const EPInstr& add = p0[2];   // s = al + ar
+  const EPInstr& st0 = p0[3];   // store_e s
+  const EPInstr& lg = p0[4];    // load_v g
+  const EPInstr& lr = p0[5];    // leaky_relu s
+  const EPInstr& lmx = p0[6];   // load_v max
+  const EPInstr& sub = p0[7];   // - max
+  const EPInstr& ex = p0[8];    // exp
+  const EPInstr& lsm = p0[9];   // load_v sum
+  const EPInstr& wt = p0[10];   // a = exp / sum
+  const EPInstr& mh = p0[11];   // a * g per head
+  const EPInstr& rb = p0[12];   // reduce -> boundary
+  const EPInstr& lh = p0[13];   // load_u ht
+  const EPInstr& dh = p0[14];   // dot = dot_head(g, ht)
+  const EPInstr& mul = p0[15];  // dot * a
+  const EPInstr& dv = p0[16];   // / sum
+  const EPInstr& r1 = p0[17];   // reduce -> acc1
+  if (!match_load(lu, EPOp::LoadU, h, &t_al) ||
+      !match_load(lv, EPOp::LoadV, h, &t_ar) ||
+      !match_load(lg, EPOp::LoadV, w, &t_g) ||
+      !match_load(lmx, EPOp::LoadV, h, &t_max) ||
+      !match_load(lsm, EPOp::LoadV, h, &t_sum) ||
+      !match_load(lh, EPOp::LoadU, w, &t_ht))
+    return cb;
+  if (add.op != EPOp::Add || add.a != lu.dst || add.b != lv.dst) return cb;
+  if (st0.op != EPOp::StoreE || st0.a != add.dst) return cb;
+  if (lr.op != EPOp::LeakyReLU || lr.a != add.dst) return cb;
+  if (sub.op != EPOp::Sub || sub.a != lr.dst || sub.b != lmx.dst) return cb;
+  if (ex.op != EPOp::Exp || ex.a != sub.dst) return cb;
+  if (wt.op != EPOp::Div || wt.a != ex.dst || wt.b != lsm.dst) return cb;
+  if (mh.op != EPOp::MulHead || mh.a != lg.dst || mh.b != wt.dst ||
+      mh.heads != h || mh.width != w)
+    return cb;
+  if (rb.op != EPOp::Reduce || rb.a != mh.dst) return cb;
+  // DotHead's per-head operand width is the register's, not the op's.
+  const auto reg_w = [&](int r) {
+    return r >= 0 && r < static_cast<int>(ep.reg_width.size()) ? ep.reg_width[r]
+                                                                : -1;
+  };
+  if (dh.op != EPOp::DotHead || dh.a != lg.dst || dh.b != lh.dst ||
+      dh.heads != h || reg_w(lg.dst) != w)
+    return cb;
+  if (mul.op != EPOp::Mul || mul.a != dh.dst || mul.b != wt.dst) return cb;
+  if (dv.op != EPOp::Div || dv.a != mul.dst || dv.b != lsm.dst) return cb;
+  if (r1.op != EPOp::Reduce || r1.a != dv.dst) return cb;
+  for (const EPInstr* in : {&add, &st0, &lr, &sub, &ex, &wt, &dh, &mul, &dv}) {
+    if (in->width != h) return cb;
+  }
+  if (!is_output(ep, rb.acc, /*boundary=*/true, 0, w) ||
+      !is_output(ep, r1.acc, /*boundary=*/false, 0, h))
+    return cb;
+  // Phase 1: (dot / sum - acc1) times the recomputed exp, stored and summed.
+  const EPInstr& lg1 = p1[0];    // load_v g
+  const EPInstr& lh1 = p1[1];    // load_u ht
+  const EPInstr& dh1 = p1[2];    // dot_head(g, ht)
+  const EPInstr& lsm1 = p1[3];   // load_v sum
+  const EPInstr& dv1 = p1[4];    // dot / sum
+  const EPInstr& la = p1[5];     // load_acc acc1
+  const EPInstr& sub1 = p1[6];   // - acc1
+  const EPInstr& lmx1 = p1[11];  // load_v max
+  const EPInstr& sub2 = p1[12];  // leaky_relu(s) - max
+  const EPInstr& ex1 = p1[13];   // exp
+  const EPInstr& eg = p1[14];    // exp_grad
+  const EPInstr& st1 = p1[15];   // store_e
+  const EPInstr& r2 = p1[16];    // reduce -> acc2
+  if (!match_load(lg1, EPOp::LoadV, w, &t_g) ||
+      !match_load(lh1, EPOp::LoadU, w, &t_ht) ||
+      !match_load(lsm1, EPOp::LoadV, h, &t_sum) ||
+      !match_load(lmx1, EPOp::LoadV, h, &t_max))
+    return cb;
+  if (dh1.op != EPOp::DotHead || dh1.a != lg1.dst || dh1.b != lh1.dst ||
+      dh1.heads != h || reg_w(lg1.dst) != w)
+    return cb;
+  if (dv1.op != EPOp::Div || dv1.a != dh1.dst || dv1.b != lsm1.dst) return cb;
+  if (la.op != EPOp::LoadAcc || la.width != h ||
+      la.tensor != ep.vertex_outputs[r1.acc].node)
+    return cb;
+  if (sub1.op != EPOp::Sub || sub1.a != dv1.dst || sub1.b != la.dst) return cb;
+  float alpha = lr.alpha;
+  int score = -1;
+  if (match_gat_score(p1, 7, h, &t_al, &t_ar, &alpha, &score) != 11) return cb;
+  if (sub2.op != EPOp::Sub || sub2.a != score || sub2.b != lmx1.dst) return cb;
+  if (ex1.op != EPOp::Exp || ex1.a != sub2.dst) return cb;
+  if (eg.op != EPOp::ExpGrad || eg.a != sub1.dst || eg.b != ex1.dst) return cb;
+  if (st1.op != EPOp::StoreE || st1.a != eg.dst) return cb;
+  if (r2.op != EPOp::Reduce || r2.a != eg.dst) return cb;
+  for (const EPInstr* in : {&dh1, &dv1, &sub1, &sub2, &ex1, &eg, &st1}) {
+    if (in->width != h) return cb;
+  }
+  if (!is_output(ep, r2.acc, /*boundary=*/false, 1, h)) return cb;
+  // The stores must target the program's two declared edge outputs.
+  const int e0 = ep.edge_outputs[0].node;
+  const int e1 = ep.edge_outputs[1].node;
+  if (!((st0.tensor == e0 && st1.tensor == e1) ||
+        (st0.tensor == e1 && st1.tensor == e0)))
+    return cb;
+  cb.kind = CoreKind::GatAttnBwd;
+  cb.t_feat = t_ht;
+  cb.t_a = t_al;
+  cb.t_b = t_ar;
+  cb.t_c = t_max;
+  cb.t_d = t_sum;
+  cb.t_g = t_g;
+  cb.t_e0 = st0.tensor;
+  cb.t_e1 = st1.tensor;
+  cb.alpha = alpha;
+  cb.heads = h;
+  cb.seq_out = r1.acc;
+  cb.seq_out2 = r2.acc;
+  cb.boundary_out = rb.acc;
+  cb.hot_width = w / h;  // per-head feature width
+  cb.template_width = pick_template_width(cb.hot_width);
+  return cb;
+}
+
 /// MoNet backward: the store_e stash shape — gaussian weights and per-kernel
 /// dots stashed to edge outputs plus a sequential weighted gather (see
 /// engine/cores/gauss_bwd.h).
@@ -716,6 +868,47 @@ void run_gat_scorebwd_combine(const Graph& g, const EdgeProgram& ep,
   }
 }
 
+void run_gat_attnbwd(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
+                     const std::int32_t* list, std::int64_t count,
+                     std::int64_t v_lo, std::int64_t v_hi) {
+  const auto& ptr = g.in_ptr();  // matcher requires dst-major
+  const auto& adj = g.in_src();
+  const auto& eid = g.in_eid();
+  const auto walk = [&](auto kf) {
+    cores::gat_attnbwd<decltype(kf)::value>(
+        ptr.data(), adj.data(), eid.data(), a.feat, a.feat_cols, a.a, a.a_cols,
+        a.b, a.b_cols, a.c, a.c_cols, a.d, a.d_cols, a.g, a.g_cols, cb.alpha,
+        cb.heads, cb.hot_width, a.out0, a.out1, a.oute0, a.oute0_cols, a.oute1,
+        a.oute1_cols, list, count, v_lo, v_hi);
+  };
+  switch (cb.template_width) {
+    case 16: walk(std::integral_constant<int, 16>{}); break;
+    case 32: walk(std::integral_constant<int, 32>{}); break;
+    case 64: walk(std::integral_constant<int, 64>{}); break;
+    default: walk(std::integral_constant<int, 0>{});
+  }
+}
+
+void run_gat_attnbwd_combine(const Graph& g, const CoreBinding& cb,
+                             const CoreArgs& a, const std::int32_t* list,
+                             std::int64_t count, std::int64_t t_lo,
+                             std::int64_t t_hi) {
+  const auto& ptr = g.out_ptr();  // the boundary output folds to src
+  const auto& adj = g.out_dst();
+  const auto combine = [&](auto kf) {
+    cores::gat_attnbwd_combine<decltype(kf)::value>(
+        ptr.data(), adj.data(), a.a, a.a_cols, a.b, a.b_cols, a.c, a.c_cols,
+        a.d, a.d_cols, a.g, a.g_cols, cb.alpha, cb.heads, cb.hot_width, a.outb,
+        list, count, t_lo, t_hi);
+  };
+  switch (cb.template_width) {
+    case 16: combine(std::integral_constant<int, 16>{}); break;
+    case 32: combine(std::integral_constant<int, 32>{}); break;
+    case 64: combine(std::integral_constant<int, 64>{}); break;
+    default: combine(std::integral_constant<int, 0>{});
+  }
+}
+
 void run_gauss_bwd(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
                    const std::int32_t* list, std::int64_t count,
                    std::int64_t v_lo, std::int64_t v_hi) {
@@ -789,6 +982,7 @@ const char* to_string(CoreKind kind) {
     case CoreKind::MoNetGauss: return "monet_gauss";
     case CoreKind::MaxBwdGather: return "maxbwd_gather";
     case CoreKind::GatScoreBwd: return "gat_scorebwd";
+    case CoreKind::GatAttnBwd: return "gat_attnbwd";
     case CoreKind::GaussBwd: return "gauss_bwd";
     case CoreKind::SumEb: return "sum_eb";
   }
@@ -822,6 +1016,7 @@ CoreBinding match_core(const EdgeProgram& ep) {
   // cross-orientation Sum reduction (the dual-reduce mask gathers).
   if (CoreBinding cb = match_maxbwd_gather(ep); cb.specialized()) return cb;
   if (CoreBinding cb = match_gat_scorebwd(ep); cb.specialized()) return cb;
+  if (CoreBinding cb = match_gat_attnbwd(ep); cb.specialized()) return cb;
   if (CoreBinding cb = match_gauss_bwd(ep); cb.specialized()) return cb;
   return CoreBinding{};
 }
@@ -881,6 +1076,31 @@ CoreArgs resolve_core_args(const CoreBinding& cb, const EdgeProgram& ep,
       a.b_cols = sc.cols();
       a.mask = aux.data();
       a.mask_cols = aux.cols();
+      break;
+    }
+    case CoreKind::GatAttnBwd: {
+      const Tensor& al = b.tensor(cb.t_a);
+      const Tensor& ar = b.tensor(cb.t_b);
+      const Tensor& mx = b.tensor(cb.t_c);
+      const Tensor& sm = b.tensor(cb.t_d);
+      const Tensor& grad = b.tensor(cb.t_g);
+      a.a = al.data();
+      a.a_cols = al.cols();
+      a.b = ar.data();
+      a.b_cols = ar.cols();
+      a.c = mx.data();
+      a.c_cols = mx.cols();
+      a.d = sm.data();
+      a.d_cols = sm.cols();
+      a.g = grad.data();
+      a.g_cols = grad.cols();
+      a.out1 = b.out(ep.vertex_outputs[cb.seq_out2].node).data();
+      Tensor& e0 = b.out(cb.t_e0);
+      Tensor& e1 = b.out(cb.t_e1);
+      a.oute0 = e0.data();
+      a.oute0_cols = e0.cols();
+      a.oute1 = e1.data();
+      a.oute1_cols = e1.cols();
       break;
     }
     case CoreKind::GaussBwd: {
@@ -943,6 +1163,9 @@ void run_core_span(const Graph& g, const EdgeProgram& ep,
     case CoreKind::GatScoreBwd:
       run_gat_scorebwd(g, cb, args, list, count, v_lo, v_hi);
       break;
+    case CoreKind::GatAttnBwd:
+      run_gat_attnbwd(g, cb, args, list, count, v_lo, v_hi);
+      break;
     case CoreKind::GaussBwd:
       run_gauss_bwd(g, cb, args, list, count, v_lo, v_hi);
       break;
@@ -964,6 +1187,9 @@ void run_core_combine_span(const Graph& g, const EdgeProgram& ep,
       break;
     case CoreKind::GatScoreBwd:
       run_gat_scorebwd_combine(g, ep, cb, args, list, count, t_lo, t_hi);
+      break;
+    case CoreKind::GatAttnBwd:
+      run_gat_attnbwd_combine(g, cb, args, list, count, t_lo, t_hi);
       break;
     default:
       TRIAD_UNREACHABLE("run_core_combine_span on a core without a boundary");

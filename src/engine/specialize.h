@@ -20,13 +20,14 @@
 ///    monet_gauss): every reduction sequential, no edge outputs — the walk
 ///    core is the whole kernel.
 ///  - Backward vertex-balanced shapes (maxbwd_gather, gat_scorebwd,
-///    gauss_bwd): may carry StoreE edge outputs (the store_e stash shapes)
-///    and at most one cross-orientation Sum reduction. The walk core handles
-///    the sequential outputs and edge stores; the boundary output is
-///    finalized by run_core_combine_span, which folds each target row in the
-///    same fixed reverse-orientation edge order as the interpreter's
-///    boundary-combine sweep (recomputing the per-edge SSA value instead of
-///    stashing it — identical bits, no O(|E|·w) stash).
+///    gat_attnbwd, gauss_bwd): may carry StoreE edge outputs (the store_e
+///    stash shapes), two phases (gat_attnbwd: GAT's attention-aggregation
+///    backward) and at most one cross-orientation Sum reduction. The walk
+///    core handles the sequential outputs and edge stores; the boundary
+///    output is finalized by run_core_combine_span, which folds each target
+///    row in the same fixed reverse-orientation edge order as the
+///    interpreter's boundary-combine sweep (recomputing the per-edge SSA
+///    value instead of stashing it — identical bits, no O(|E|·w) stash).
 ///  - Edge-balanced Sum gathers (sum_eb): the interpreter realizes these as
 ///    a fully-elided walk plus a deterministic per-target combine, so the
 ///    core IS that combine — a per-target fold over the output's
@@ -61,6 +62,7 @@ enum class CoreKind : std::uint8_t {
   MoNetGauss,   ///< gaussian-weighted MulHead gather
   MaxBwdGather, ///< argmax-replay gather (EdgeConv backward), dual reduce
   GatScoreBwd,  ///< GAT score gradient: mask/sub/leaky_relu_grad, dual reduce
+  GatAttnBwd,   ///< GAT attention-aggregation backward: 2-phase, recomputed dX
   GaussBwd,     ///< MoNet backward: gauss + dot_head store_e stash shape
   SumEb,        ///< edge-balanced Sum gather of the non-target endpoint
 };
@@ -85,8 +87,9 @@ struct CoreBinding {
                      ///< GatScoreBwd: the LoadV gradient-sum operand
   int t_b = -1;      ///< GAT a_r / EdgeConv v-side Add operand / MoNet mu
                      ///< GatScoreBwd: the LoadE raw-score operand
-  int t_c = -1;      ///< MoNet sigma
-  int t_g = -1;      ///< GaussBwd: LoadV upstream-gradient rows
+  int t_c = -1;      ///< MoNet sigma / GatAttnBwd: softmax max
+  int t_d = -1;      ///< GatAttnBwd: softmax denominator (sum)
+  int t_g = -1;      ///< GaussBwd, GatAttnBwd: LoadV upstream-gradient rows
   int t_aux = -1;    ///< MaxBwdMask argmax aux (int32 rows, VmBindings::aux)
   int t_e0 = -1;     ///< first StoreE edge-output node (GaussBwd: weights)
   int t_e1 = -1;     ///< second StoreE edge-output node (GaussBwd: dots)
@@ -97,6 +100,9 @@ struct CoreBinding {
   /// writes (-1 = the core has no sequential output). Forward cores use the
   /// fixed output layout of their shape instead and leave these unset.
   int seq_out = -1;
+  /// Index of a second sequential reduction (GatAttnBwd's phase-1 output);
+  /// -1 = none.
+  int seq_out2 = -1;
   /// Index into vertex_outputs of the cross-orientation Sum reduction the
   /// combine core finalizes; -1 = no boundary, the walk is the whole kernel.
   int boundary_out = -1;
@@ -126,12 +132,16 @@ struct CoreArgs {
   const float* b = nullptr;
   const float* c = nullptr;
   std::int64_t b_cols = 0;  ///< b row stride; MoNet: mu/sigma pseudo dim r
-  const float* g = nullptr; ///< GaussBwd gradient rows
+  std::int64_t c_cols = 0;  ///< c row stride (GatAttnBwd; MoNet uses b_cols)
+  const float* d = nullptr;
+  std::int64_t d_cols = 0;
+  const float* g = nullptr; ///< GaussBwd / GatAttnBwd gradient rows
   std::int64_t g_cols = 0;
   const std::int32_t* mask = nullptr;  ///< MaxBwdMask argmax aux rows
   std::int64_t mask_cols = 0;
   float* out0 = nullptr;    ///< sequential-output rows (walk core)
-  float* out1 = nullptr;    ///< vertex_outputs[1] rows (GAT)
+  float* out1 = nullptr;    ///< vertex_outputs[1] rows (GatSoftmax);
+                            ///< GatAttnBwd: the seq_out2 rows
   float* out2 = nullptr;    ///< vertex_outputs[2] rows (GAT)
   float* outb = nullptr;    ///< boundary-output rows (combine core)
   float* oute0 = nullptr;   ///< StoreE edge-output rows

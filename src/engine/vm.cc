@@ -189,13 +189,10 @@ ResolvedProgram resolve(const Graph& g, const EdgeProgram& ep,
                   "boundary reductions support Sum only");
       rp.has_boundary = true;
       // Elision candidate: the replay list is the phase minus its side
-      // effects (Reduce stash writes, StoreE). Cheap means at most two
-      // non-load ops and no Gauss; anything pricier keeps the stash so the
-      // combine reads instead of recomputing.
+      // effects (Reduce stash writes, StoreE); interpreter_stashes decides
+      // whether replaying it is cheap enough to skip the stash.
       const int p = vo.phase;
       std::vector<RInstr> replay;
-      int arith = 0;
-      bool costly = false;
       int sreg = -1;
       const auto& instrs = ep.phases[p].instrs;
       for (std::size_t x = 0; x < instrs.size(); ++x) {
@@ -206,19 +203,13 @@ ResolvedProgram resolve(const Graph& g, const EdgeProgram& ep,
         }
         if (in.op == EPOp::StoreE) continue;
         replay.push_back(rp.phases[p][x]);
-        if (in.op != EPOp::LoadU && in.op != EPOp::LoadV &&
-            in.op != EPOp::LoadE && in.op != EPOp::LoadAcc &&
-            in.op != EPOp::Copy) {
-          ++arith;
-          if (in.op == EPOp::Gauss) costly = true;
-        }
       }
       TRIAD_CHECK(sreg >= 0, "boundary output has no Reduce in its phase");
       rp.src_reg[i] = sreg;
       const std::uint64_t stash_bytes =
           static_cast<std::uint64_t>(g.num_edges()) *
           static_cast<std::uint64_t>(vo.width) * 4;
-      if (arith <= 2 && !costly) {
+      if (!interpreter_stashes(ep, i)) {
         rp.elided[i] = 1;
         rp.recompute[i] = std::move(replay);
         global_counters().boundary_stash_saved_bytes += stash_bytes;
@@ -660,6 +651,32 @@ void check_program(const EdgeProgram& ep) {
 }
 
 }  // namespace
+
+bool interpreter_stashes(const EdgeProgram& ep, std::size_t out) {
+  const VertexOutput& vo = ep.vertex_outputs[out];
+  if (sequential_reduce(ep, vo)) return false;
+  // Cheap means at most two non-load ops and no Gauss, side effects (the
+  // Reduce stash writes, StoreE) excluded; anything pricier keeps the stash
+  // so the combine reads instead of recomputing.
+  int arith = 0;
+  for (const EPInstr& in : ep.phases[vo.phase].instrs) {
+    switch (in.op) {
+      case EPOp::LoadU:
+      case EPOp::LoadV:
+      case EPOp::LoadE:
+      case EPOp::LoadAcc:
+      case EPOp::Copy:
+      case EPOp::Reduce:
+      case EPOp::StoreE:
+        break;
+      case EPOp::Gauss:
+        return true;
+      default:
+        ++arith;
+    }
+  }
+  return arith > 2;
+}
 
 namespace {
 

@@ -68,6 +68,15 @@ struct VmBindings {
 void run_edge_program(const Graph& g, const EdgeProgram& ep, const VmBindings& b,
                       const CoreBinding* core = nullptr, bool backward = false);
 
+/// True when the interpreter realizes vertex output `out` of `ep` through
+/// an O(|E| x width) boundary stash. A cross-orientation (or edge-balanced)
+/// reduction whose per-edge contribution is cheap to replay has its stash
+/// elided: the combine recomputes the contribution instead. Sequential
+/// reductions never stash, and neither do bound cores (their combine always
+/// recomputes). The plan's peak-memory simulation asks the same question, so
+/// the rule lives only here.
+bool interpreter_stashes(const EdgeProgram& ep, std::size_t out);
+
 class PipelineSchedule;
 
 /// Executes the program shard-by-shard: each shard's owned range is one unit

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
 
 #include "baselines/plan_cache.h"
 #include "baselines/strategy.h"
@@ -77,6 +78,64 @@ TEST(ExecutionPlan, PrecomputesScheduleAndFreePoints) {
   // Peak estimate: input persists, at most two activations live at once.
   EXPECT_EQ(plan.persistent_bytes(), 5u * 4u * 4u);
   EXPECT_LE(plan.estimated_peak_bytes(), plan.persistent_bytes() + 2u * 5u * 4u * 4u);
+}
+
+/// The two benchmark training models at their benchmark widths, with the
+/// input feature width each expects.
+std::pair<ModelGraph, std::int64_t> bench_model(bool gat) {
+  Rng mrng(7);
+  if (gat) {
+    GatConfig cfg;
+    cfg.in_dim = 32;
+    cfg.hidden = 16;
+    cfg.heads = 4;
+    cfg.layers = 2;
+    cfg.num_classes = 8;
+    return {build_gat(cfg, mrng), cfg.in_dim};
+  }
+  EdgeConvConfig cfg;
+  cfg.in_dim = 3;
+  cfg.hidden = {64, 64, 128, 256};
+  cfg.num_classes = 40;
+  return {build_edgeconv(cfg, mrng), cfg.in_dim};
+}
+
+// The peak estimate charges what the runtime allocates: a boundary stash only
+// where the interpreter keeps one, none for a program bound to a core (its
+// combine recomputes). Checked against the pool peak of real training steps
+// — the first and the steady state, whose peak also holds the previous
+// step's outputs — with cores on and off. Charging every boundary output a
+// stash put the EdgeConv estimate at twice the measured peak.
+TEST(ExecutionPlan, PeakEstimateTracksMeasuredTrainingPeak) {
+  Rng grng(5);
+  const Graph g = gen::rmat(11, 8192, grng);
+  IntTensor labels(g.num_vertices(), 1);
+  for (std::int64_t v = 0; v < g.num_vertices(); ++v) {
+    labels.at(v, 0) = static_cast<std::int32_t>(v % 8);
+  }
+  for (const bool gat : {true, false}) {
+    for (const bool specialize : {true, false}) {
+      auto [model, in_dim] = bench_model(gat);
+      Strategy s = ours();
+      s.specialize = specialize;
+      Compiled c = compile_model(std::move(model), s, /*training=*/true, g);
+      const auto estimate = static_cast<double>(c.plan->estimated_peak_bytes());
+      MemoryPool pool;
+      Rng frng(9);
+      Trainer t(std::move(c), g,
+                Tensor::randn(g.num_vertices(), in_dim, frng, 1.f,
+                              MemTag::kInput, &pool),
+                Tensor{}, &pool);
+      for (int step = 0; step < 2; ++step) {
+        const auto peak =
+            static_cast<double>(t.train_step(labels, 0.01f).peak_bytes);
+        EXPECT_NEAR(estimate / peak, 1.0, 0.10)
+            << (gat ? "gat" : "edgeconv")
+            << (specialize ? "" : " --no-specialize") << " step " << step
+            << ": estimate " << estimate << " B, measured " << peak << " B";
+      }
+    }
+  }
 }
 
 TEST(ExecutionPlan, RunnerRejectsMismatchedGraph) {

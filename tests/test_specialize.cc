@@ -5,8 +5,9 @@
 //    (exact float equality, no tolerance);
 //  * the matcher fires on the optimizer's post-fusion programs with the
 //    expected core kind — forward shapes, the training backward shapes
-//    (maxbwd_gather / gat_scorebwd / gauss_bwd), and the edge-balanced Sum
-//    gather (sum_eb) — and never fires when the strategy disables it;
+//    (maxbwd_gather / gat_scorebwd / gat_attnbwd / gauss_bwd), and the
+//    edge-balanced Sum gather (sum_eb) — and never fires when the strategy
+//    disables it;
 //  * any structural mutation of a matched program falls back to the
 //    interpreter (kind == None) instead of binding a wrong core;
 //  * PerfCounters splits specialized/interpreted edges by pass direction.
@@ -14,6 +15,7 @@
 
 #include <functional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -72,7 +74,9 @@ std::vector<ModelCase> model_cases() {
                      cfg.in_dim = 10;
                      cfg.hidden = w;
                      cfg.heads = 2;
-                     cfg.layers = 1;
+                     // Two layers: layer 0 runs 2 heads x w (the swept
+                     // width), layer 1 is the 1-head classifier.
+                     cfg.layers = 2;
                      cfg.num_classes = 4;
                      return build_gat(cfg, rng);
                    },
@@ -189,23 +193,32 @@ TEST(Specialize, MatcherSelectsExpectedCores) {
 
 TEST(Specialize, TrainingPlansBindBackwardCores) {
   // The gradient programs fusion emits for the stock models have dedicated
-  // backward cores: the EdgeConv argmax-replay gather, the GAT score
-  // gradient, and the MoNet store_e stash shape. (The GCN gradient gather is
-  // structurally the forward weighted sum and binds gcn_wsum.) Anything the
-  // matcher does not recognize — e.g. the wide two-phase GAT feature-gradient
-  // program — must stay on the interpreter, never bind a wrong core.
+  // backward cores: the EdgeConv argmax-replay gather, GAT's score gradient
+  // and its two-phase attention-aggregation backward, and the MoNet store_e
+  // stash shape. (The GCN gradient gather is structurally the forward
+  // weighted sum and binds gcn_wsum.) Every program of the GAT training plan
+  // binds a core: none of its steps is left to the interpreter.
   Graph g = test_graph();
   const auto cases = model_cases();  // gcn, gat, monet, edgeconv
-  const CoreKind expected[] = {CoreKind::GcnWsum, CoreKind::GatScoreBwd,
-                               CoreKind::GaussBwd, CoreKind::MaxBwdGather};
+  const std::vector<std::vector<CoreKind>> expected = {
+      {CoreKind::GcnWsum},
+      {CoreKind::GatScoreBwd, CoreKind::GatAttnBwd},
+      {CoreKind::GaussBwd},
+      {CoreKind::MaxBwdGather}};
   for (std::size_t i = 0; i < cases.size(); ++i) {
     Rng rng(4242);
     Compiled c =
         compile_model(cases[i].build(rng, 16), ours(), /*training=*/true, g);
     ASSERT_NE(c.plan, nullptr);
-    EXPECT_GE(count_kind(c.plan->cores(), expected[i]), 1)
-        << cases[i].name << " training plan bound no "
-        << to_string(expected[i]) << " core";
+    for (const CoreKind kind : expected[i]) {
+      EXPECT_GE(count_kind(c.plan->cores(), kind), 1)
+          << cases[i].name << " training plan bound no " << to_string(kind)
+          << " core";
+    }
+    if (cases[i].name == "gat") {
+      EXPECT_EQ(count_kind(c.plan->cores(), CoreKind::None), 0)
+          << "a GAT training program fell back to the interpreter";
+    }
   }
 }
 
@@ -488,6 +501,117 @@ TEST(Specialize, MutatedGatScoreBwdProgramsFallBack) {
   // Wide head rows stay interpreted: the recompute combine loses to the
   // stash past h = 8 (measured on bench_micro_kernels).
   EXPECT_EQ(match_core(gat_scorebwd_program(16)).kind, CoreKind::None);
+}
+
+/// The GAT attention-aggregation backward program, as fusion emits it per
+/// layer: h heads of f features. Tensors: 1 = a_l, 2 = a_r, 3 = upstream
+/// gradient, 4 = softmax max, 5 = softmax sum, 6 = projected features.
+/// Outputs: 7 = feature gradient (boundary), 8 / 9 = phase-0 / phase-1 sums,
+/// edge outputs 10 = raw score, 11 = score gradient.
+EdgeProgram gat_attnbwd_program(std::int64_t h, std::int64_t f) {
+  const std::int64_t w = h * f;
+  EdgeProgram ep;
+  ep.phases.resize(2);
+  ep.phases[0].instrs = {
+      {EPOp::LoadU, 0, -1, -1, 1, -1, -1, 0.f, 1, h},
+      {EPOp::LoadV, 1, -1, -1, 2, -1, -1, 0.f, 1, h},
+      {EPOp::Add, 2, 0, 1, -1, -1, -1, 0.f, 1, h},
+      {EPOp::StoreE, -1, 2, -1, 10, -1, -1, 0.f, 1, h},
+      {EPOp::LoadV, 3, -1, -1, 3, -1, -1, 0.f, 1, w},
+      {EPOp::LeakyReLU, 4, 2, -1, -1, -1, -1, 0.2f, 1, h},
+      {EPOp::LoadV, 5, -1, -1, 4, -1, -1, 0.f, 1, h},
+      {EPOp::Sub, 6, 4, 5, -1, -1, -1, 0.f, 1, h},
+      {EPOp::Exp, 7, 6, -1, -1, -1, -1, 0.f, 1, h},
+      {EPOp::LoadV, 8, -1, -1, 5, -1, -1, 0.f, 1, h},
+      {EPOp::Div, 9, 7, 8, -1, -1, -1, 0.f, 1, h},
+      {EPOp::MulHead, 10, 3, 9, -1, -1, -1, 0.f, h, w},
+      {EPOp::Reduce, -1, 10, -1, -1, -1, 0, 0.f, 1, w},
+      {EPOp::LoadU, 11, -1, -1, 6, -1, -1, 0.f, 1, w},
+      {EPOp::DotHead, 12, 3, 11, -1, -1, -1, 0.f, h, h},
+      {EPOp::Mul, 13, 12, 9, -1, -1, -1, 0.f, 1, h},
+      {EPOp::Div, 14, 13, 8, -1, -1, -1, 0.f, 1, h},
+      {EPOp::Reduce, -1, 14, -1, -1, -1, 1, 0.f, 1, h},
+  };
+  ep.phases[1].instrs = {
+      {EPOp::LoadV, 15, -1, -1, 3, -1, -1, 0.f, 1, w},
+      {EPOp::LoadU, 16, -1, -1, 6, -1, -1, 0.f, 1, w},
+      {EPOp::DotHead, 17, 15, 16, -1, -1, -1, 0.f, h, h},
+      {EPOp::LoadV, 18, -1, -1, 5, -1, -1, 0.f, 1, h},
+      {EPOp::Div, 19, 17, 18, -1, -1, -1, 0.f, 1, h},
+      {EPOp::LoadAcc, 20, -1, -1, 8, -1, -1, 0.f, 1, h},
+      {EPOp::Sub, 21, 19, 20, -1, -1, -1, 0.f, 1, h},
+      {EPOp::LoadU, 22, -1, -1, 1, -1, -1, 0.f, 1, h},
+      {EPOp::LoadV, 23, -1, -1, 2, -1, -1, 0.f, 1, h},
+      {EPOp::Add, 24, 22, 23, -1, -1, -1, 0.f, 1, h},
+      {EPOp::LeakyReLU, 25, 24, -1, -1, -1, -1, 0.2f, 1, h},
+      {EPOp::LoadV, 26, -1, -1, 4, -1, -1, 0.f, 1, h},
+      {EPOp::Sub, 27, 25, 26, -1, -1, -1, 0.f, 1, h},
+      {EPOp::Exp, 28, 27, -1, -1, -1, -1, 0.f, 1, h},
+      {EPOp::ExpGrad, 29, 21, 28, -1, -1, -1, 0.f, 1, h},
+      {EPOp::StoreE, -1, 29, -1, 11, -1, -1, 0.f, 1, h},
+      {EPOp::Reduce, -1, 29, -1, -1, -1, 2, 0.f, 1, h},
+  };
+  ep.vertex_outputs = {
+      {7, static_cast<std::uint8_t>(ReduceFn::Sum), w, 0, true, true, false},
+      {8, static_cast<std::uint8_t>(ReduceFn::Sum), h, 0, false, false, false},
+      {9, static_cast<std::uint8_t>(ReduceFn::Sum), h, 1, false, false, false}};
+  ep.edge_outputs = {{10, h}, {11, h}};
+  ep.num_regs = 30;
+  ep.reg_width.assign(30, h);
+  for (const int r : {3, 10, 11, 15, 16}) ep.reg_width[r] = w;
+  return ep;
+}
+
+TEST(Specialize, MatchesGatAttnBwdAndRecordsRoles) {
+  for (const auto& [h, f, tw] :
+       std::vector<std::tuple<std::int64_t, std::int64_t, int>>{
+           {4, 16, 16}, {2, 64, 64}, {1, 8, 0}}) {
+    const CoreBinding cb = match_core(gat_attnbwd_program(h, f));
+    ASSERT_EQ(cb.kind, CoreKind::GatAttnBwd) << "h=" << h << " f=" << f;
+    EXPECT_EQ(cb.heads, h);
+    EXPECT_EQ(cb.hot_width, f);  // per-head feature width
+    EXPECT_EQ(cb.template_width, tw);
+    EXPECT_EQ(cb.boundary_out, 0);  // the feature gradient, folded to src
+    EXPECT_EQ(cb.seq_out, 1);       // phase-0 sum, read back by LoadAcc
+    EXPECT_EQ(cb.seq_out2, 2);      // phase-1 sum
+    EXPECT_EQ(cb.t_e0, 10);         // raw score
+    EXPECT_EQ(cb.t_e1, 11);         // score gradient
+    EXPECT_EQ(cb.t_feat, 6);
+    EXPECT_EQ(cb.t_g, 3);
+    EXPECT_EQ(cb.t_c, 4);  // max
+    EXPECT_EQ(cb.t_d, 5);  // sum
+    EXPECT_EQ(cb.alpha, 0.2f);
+    EXPECT_TRUE(cb.has_boundary());
+  }
+  EXPECT_EQ(match_core(gat_attnbwd_program(4, 16)).label(), "gat_attnbwd/w16");
+  EXPECT_EQ(match_core(gat_attnbwd_program(1, 8)).label(), "gat_attnbwd/dyn");
+}
+
+TEST(Specialize, MutatedGatAttnBwdProgramsFallBack) {
+  // MulHead weights the gradient by the unnormalized exp, not exp / sum.
+  EdgeProgram m1 = gat_attnbwd_program(4, 16);
+  m1.phases[0].instrs[11].b = 7;
+  EXPECT_EQ(match_core(m1).kind, CoreKind::None);
+
+  // The phase-1 LoadAcc reads the phase-1 output instead of the phase-0 sum.
+  EdgeProgram m2 = gat_attnbwd_program(4, 16);
+  m2.phases[1].instrs[5].tensor = 9;
+  EXPECT_EQ(match_core(m2).kind, CoreKind::None);
+
+  // The feature gradient becomes a sequential (dst-side) reduction.
+  EdgeProgram m3 = gat_attnbwd_program(4, 16);
+  m3.vertex_outputs[0].reverse = false;
+  EXPECT_EQ(match_core(m3).kind, CoreKind::None);
+
+  // Phase-1 Sub operands swapped: acc1 - dot / sum is a different value.
+  EdgeProgram m4 = gat_attnbwd_program(4, 16);
+  std::swap(m4.phases[1].instrs[6].a, m4.phases[1].instrs[6].b);
+  EXPECT_EQ(match_core(m4).kind, CoreKind::None);
+
+  // A third edge output: the walk core writes exactly two.
+  EdgeProgram m5 = gat_attnbwd_program(4, 16);
+  m5.edge_outputs.push_back({12, 4});
+  EXPECT_EQ(match_core(m5).kind, CoreKind::None);
 }
 
 /// The MoNet gradient program (src-major): gaussian weights and per-kernel

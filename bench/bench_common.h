@@ -13,6 +13,7 @@
 // the perf trajectory can be tracked across PRs.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -45,14 +46,13 @@ struct Options {
   double scale = 1.0;        ///< graph scale for citation datasets
   double reddit_scale = 0.01;///< Reddit is huge; default heavily scaled
   double feat_scale = 0.25;  ///< input feature width scale (latency knob)
-  int steps = 2;             ///< measured steps (after 1 warmup)
+  int steps = 10;            ///< measured steps (after 1 warmup)
   int points = 256;          ///< EdgeConv points per cloud (paper: 1024)
   int shards = 0;            ///< K-way sharded execution (0 = unsharded)
   int threads = 0;           ///< global pool size override (0 = auto)
   unsigned seed = 42;
   bool specialize = true;    ///< bind specialized kernel cores (--no-specialize)
-  bool pipeline = true;      ///< pipelined sharded execution (--no-pipeline)
-  bool transport = true;     ///< message-passing cross-shard flows (--no-transport)
+  bool transport = true;     ///< ParamServer parameter updates (--no-transport)
   bool json = true;          ///< emit BENCH_<name>.json
   std::string json_dir = "."; ///< where to write it
   std::string dump_ir;       ///< write one DOT file per pipeline stage here
@@ -72,7 +72,6 @@ struct Options {
       if (const char* v = val("--json-dir")) o.json_dir = v;
       if (const char* v = val("--dump-ir")) o.dump_ir = v;
       if (std::strcmp(argv[i], "--no-specialize") == 0) o.specialize = false;
-      if (std::strcmp(argv[i], "--no-pipeline") == 0) o.pipeline = false;
       if (std::strcmp(argv[i], "--no-transport") == 0) o.transport = false;
       if (std::strcmp(argv[i], "--no-json") == 0) o.json = false;
       if (std::strcmp(argv[i], "--full") == 0) {
@@ -115,6 +114,10 @@ struct Options {
 
 struct Measurement {
   double seconds = 0;           ///< measured CPU wall time per step (run-time)
+  /// Spread of the per-step times behind `seconds` (measure_training's
+  /// median); 0 when the row was not timed step by step.
+  double seconds_p10 = 0;
+  double seconds_p90 = 0;
   double compile_seconds = 0;   ///< one-time pass pipeline + plan build
   std::uint64_t io_bytes = 0;   ///< modeled DRAM traffic per step
   std::size_t peak_bytes = 0;   ///< peak pool memory
@@ -145,14 +148,9 @@ inline std::shared_ptr<const Compiled> engine_compile(
     co.strategy.specialize = false;
     co.strategy.name += "(-specialize)";
   }
-  if (!opt.pipeline && co.strategy.pipeline) {
-    // Barriered-sharded ablation run; same cache-key reasoning as above.
-    co.strategy.pipeline = false;
-    co.strategy.name += "(-pipeline)";
-  }
   if (!opt.transport && co.strategy.transport) {
-    // Direct-memory ablation run (no shard fabric, no ParamServer); same
-    // cache-key reasoning as above.
+    // In-place-update ablation run (no ParamServer); same cache-key
+    // reasoning as above.
     co.strategy.transport = false;
     co.strategy.name += "(-transport)";
   }
@@ -161,10 +159,20 @@ inline std::shared_ptr<const Compiled> engine_compile(
   return api::Engine(co).compile(std::move(module)).compiled(g, training);
 }
 
+/// Linear-interpolated quantile `q` in [0, 1] of ascending `sorted`.
+inline double quantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
 /// Runs `steps` training (or forward-only) steps off the model's compiled
-/// plan and averages. The plan was built exactly once by the Engine; the
-/// step loop performs no pass or liveness work (Measurement::compile_seconds
-/// carries the one-time cost for separate reporting).
+/// plan and reports the median step time with its p10 and p90. The plan was
+/// built exactly once by the Engine; the step loop performs no pass or
+/// liveness work (Measurement::compile_seconds carries the one-time cost for
+/// separate reporting).
 inline Measurement measure_training(std::shared_ptr<const Compiled> compiled,
                                     const Graph& g, const Tensor& features,
                                     const Tensor& pseudo,
@@ -192,15 +200,19 @@ inline Measurement measure_training(std::shared_ptr<const Compiled> compiled,
   } else {
     trainer.forward(labels);
   }
+  std::vector<double> step_s;
   for (int i = 0; i < steps; ++i) {
     const StepMetrics sm =
         training ? trainer.train_step(labels, 1e-3f) : trainer.forward(labels);
-    m.seconds += sm.seconds;
+    step_s.push_back(sm.seconds);
     m.io_bytes += sm.counters.io_bytes();
     m.counters += sm.counters;
     m.peak_bytes = std::max(m.peak_bytes, sm.peak_bytes);
   }
-  m.seconds /= steps;
+  std::sort(step_s.begin(), step_s.end());
+  m.seconds = quantile(step_s, 0.5);
+  m.seconds_p10 = quantile(step_s, 0.1);
+  m.seconds_p90 = quantile(step_s, 0.9);
   m.io_bytes /= static_cast<std::uint64_t>(steps);
   return m;
 }
@@ -259,13 +271,22 @@ class JsonReport {
   }
 
   /// Records without printing (for benches with custom table formats). The
-  /// compile-phase breakdown (`compile_passes`, `ir_nodes_before/after`) is
-  /// appended to the row through the same extra-field mechanism callers use.
+  /// step-time spread (`run_seconds_p10/p90`, rows timed step by step) and
+  /// the compile-phase breakdown (`compile_passes`, `ir_nodes_before/after`)
+  /// are appended to the row through the same extra-field mechanism callers
+  /// use.
   void add(const std::string& workload, const std::string& strategy,
            const Measurement& m, const Measurement& base,
            const std::string& extra = "") {
     std::string merged = extra;
     if (!merged.empty()) merged += ", ";
+    if (m.seconds_p90 > 0) {
+      char buf[96];
+      std::snprintf(buf, sizeof buf,
+                    "\"run_seconds_p10\": %.6e, \"run_seconds_p90\": %.6e, ",
+                    m.seconds_p10, m.seconds_p90);
+      merged += buf;
+    }
     merged += compile_fields_json(m);
     rows_.push_back({workload, strategy, m, base.seconds, base.peak_bytes,
                      std::move(merged)});
@@ -337,9 +358,7 @@ class JsonReport {
           "\"specialized_edges\": %llu, \"interpreted_edges\": %llu, "
           "\"specialized_fwd_edges\": %llu, \"specialized_bwd_edges\": %llu, "
           "\"interpreted_fwd_edges\": %llu, \"interpreted_bwd_edges\": %llu, "
-          "\"interior_edges\": %llu, \"frontier_edges\": %llu, "
           "\"walk_ns\": %llu, \"combine_ns\": %llu, "
-          "\"combine_overlap_ns\": %llu, "
           "\"boundary_stash_bytes\": %llu, "
           "\"boundary_stash_saved_bytes\": %llu, "
           "\"transport_msgs\": %llu, \"transport_bytes\": %llu, "
@@ -359,11 +378,8 @@ class JsonReport {
           static_cast<unsigned long long>(r.m.counters.specialized_bwd_edges),
           static_cast<unsigned long long>(r.m.counters.interpreted_fwd_edges),
           static_cast<unsigned long long>(r.m.counters.interpreted_bwd_edges),
-          static_cast<unsigned long long>(r.m.counters.interior_edges),
-          static_cast<unsigned long long>(r.m.counters.frontier_edges),
           static_cast<unsigned long long>(r.m.counters.walk_ns),
           static_cast<unsigned long long>(r.m.counters.combine_ns),
-          static_cast<unsigned long long>(r.m.counters.combine_overlap_ns),
           static_cast<unsigned long long>(r.m.counters.boundary_stash_bytes),
           static_cast<unsigned long long>(
               r.m.counters.boundary_stash_saved_bytes),

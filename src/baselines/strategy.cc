@@ -76,13 +76,6 @@ Strategy ours_no_specialize() {
   return s;
 }
 
-Strategy ours_no_pipeline() {
-  Strategy s = ours();
-  s.name = "Ours(-pipeline)";
-  s.pipeline = false;
-  return s;
-}
-
 Strategy ours_no_transport() {
   Strategy s = ours();
   s.name = "Ours(-transport)";
@@ -194,7 +187,7 @@ Compiled compile_model(ModelGraph model, const Strategy& s, bool training,
     // or not a plan was baked.
     c.plan = ExecutionPlan::compile_shared(ir, num_vertices, num_edges,
                                            partition.get(), s.specialize,
-                                           s.pipeline, s.transport);
+                                           s.transport);
     c.stats.plan_seconds = c.plan->compile_seconds();
     c.partition = std::move(partition);
     // Surface the core-selection outcome in the compile report: one entry per
@@ -244,23 +237,6 @@ Compiled compile_model(ModelGraph model, const Strategy& s, bool training,
                   partition_seconds, c.ir.size());
     c.stats.passes.push_back(recorder.report().front());
     c.stats.pass_seconds += partition_seconds;
-    // Pipelined-execution schedule baked into the plan: report the
-    // interior/frontier split the dependency scheduler will exploit.
-    // Mirrors the "specialize" entry — present iff the knob is on.
-    if (s.pipeline && c.plan != nullptr) {
-      PassInfo pipe;
-      pipe.name = "pipeline";
-      pipe.nodes_before = pipe.nodes_after = c.ir.size();
-      std::uint64_t interior = 0, frontier = 0;
-      for (int sh = 0; sh < c.plan->num_shards(); ++sh) {
-        const ShardSchedule& ss = c.plan->shard_schedule(sh);
-        interior += static_cast<std::uint64_t>(ss.interior_edges);
-        frontier += static_cast<std::uint64_t>(ss.frontier_edges);
-      }
-      pipe.rules.push_back(RuleStat{"interior_edges", interior});
-      pipe.rules.push_back(RuleStat{"frontier_edges", frontier});
-      c.stats.passes.push_back(std::move(pipe));
-    }
   }
   return c;
 }

@@ -67,12 +67,9 @@ inline void gat_attnbwd(
     std::int64_t heads, std::int64_t f_rt, float* TRIAD_RESTRICT out_acc1,
     float* TRIAD_RESTRICT out_acc2, float* TRIAD_RESTRICT e0,
     std::int64_t e0_cols, float* TRIAD_RESTRICT e1, std::int64_t e1_cols,
-    const std::int32_t* TRIAD_RESTRICT list, std::int64_t count,
     std::int64_t v_lo, std::int64_t v_hi) {
   const std::int64_t f = kF > 0 ? kF : f_rt;
-  const std::int64_t total = list != nullptr ? count : v_hi - v_lo;
-  for (std::int64_t idx = 0; idx < total; ++idx) {
-    const std::int64_t v = list != nullptr ? list[idx] : v_lo + idx;
+  for (std::int64_t v = v_lo; v < v_hi; ++v) {
     const std::int64_t elo = ptr[v];
     const std::int64_t ehi = ptr[v + 1];
     const float* TRIAD_RESTRICT arv = ar + v * ar_cols;
@@ -127,13 +124,10 @@ inline void gat_attnbwd_combine(
     const float* TRIAD_RESTRICT sm, std::int64_t sm_cols,
     const float* TRIAD_RESTRICT g, std::int64_t g_cols, float alpha,
     std::int64_t heads, std::int64_t f_rt, float* TRIAD_RESTRICT out,
-    const std::int32_t* TRIAD_RESTRICT list, std::int64_t count,
     std::int64_t t_lo, std::int64_t t_hi) {
   const std::int64_t f = kF > 0 ? kF : f_rt;
   const std::int64_t w = heads * f;
-  const std::int64_t total = list != nullptr ? count : t_hi - t_lo;
-  for (std::int64_t idx = 0; idx < total; ++idx) {
-    const std::int64_t u = list != nullptr ? list[idx] : t_lo + idx;
+  for (std::int64_t u = t_lo; u < t_hi; ++u) {
     float* TRIAD_RESTRICT row = out + u * w;
     for (std::int64_t j = 0; j < w; ++j) row[j] = 0.f;
     const float* TRIAD_RESTRICT alu = al + u * al_cols;

@@ -45,13 +45,9 @@ inline void gat_scorebwd(const std::int64_t* TRIAD_RESTRICT ptr,
                          const std::int32_t* TRIAD_RESTRICT aux,
                          std::int64_t aux_cols, float alpha,
                          float* TRIAD_RESTRICT out, std::int64_t h_rt,
-                         const std::int32_t* TRIAD_RESTRICT list,
-                         std::int64_t count, std::int64_t v_lo,
-                         std::int64_t v_hi) {
+                         std::int64_t v_lo, std::int64_t v_hi) {
   const std::int64_t h = kH > 0 ? kH : h_rt;
-  const std::int64_t total = list != nullptr ? count : v_hi - v_lo;
-  for (std::int64_t idx = 0; idx < total; ++idx) {
-    const std::int64_t v = list != nullptr ? list[idx] : v_lo + idx;
+  for (std::int64_t v = v_lo; v < v_hi; ++v) {
     float* TRIAD_RESTRICT acc = out + v * h;
     for (std::int64_t j = 0; j < h; ++j) acc[j] = 0.f;
     const float* TRIAD_RESTRICT gsv = gs + v * gs_cols;
@@ -81,12 +77,9 @@ inline void gat_scorebwd_combine(
     const float* TRIAD_RESTRICT gs, std::int64_t gs_cols,
     const std::int32_t* TRIAD_RESTRICT aux, std::int64_t aux_cols, float alpha,
     float* TRIAD_RESTRICT out, std::int64_t h_rt,
-    const std::int32_t* TRIAD_RESTRICT list, std::int64_t count,
     std::int64_t t_lo, std::int64_t t_hi) {
   const std::int64_t h = kH > 0 ? kH : h_rt;
-  const std::int64_t total = list != nullptr ? count : t_hi - t_lo;
-  for (std::int64_t idx = 0; idx < total; ++idx) {
-    const std::int64_t t = list != nullptr ? list[idx] : t_lo + idx;
+  for (std::int64_t t = t_lo; t < t_hi; ++t) {
     float* TRIAD_RESTRICT row = out + t * h;
     for (std::int64_t j = 0; j < h; ++j) row[j] = 0.f;
     const std::int64_t klo = ptr[t];

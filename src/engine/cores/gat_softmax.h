@@ -35,16 +35,12 @@ inline void gat_softmax(const std::int64_t* TRIAD_RESTRICT ptr,
                         std::int32_t* TRIAD_RESTRICT aux_max,
                         float* TRIAD_RESTRICT out_sum,
                         float* TRIAD_RESTRICT out_feat,
-                        const std::int32_t* TRIAD_RESTRICT list,
-                        std::int64_t count, std::int64_t v_lo,
-                        std::int64_t v_hi) {
+                        std::int64_t v_lo, std::int64_t v_hi) {
   constexpr float kNegInf = -std::numeric_limits<float>::infinity();
   const std::int64_t f = kF > 0 ? kF : f_rt;
   const std::int64_t wout = heads * f;
   constexpr std::int64_t kPrefetchDist = 8;
-  const std::int64_t total = list != nullptr ? count : v_hi - v_lo;
-  for (std::int64_t idx = 0; idx < total; ++idx) {
-    const std::int64_t v = list != nullptr ? list[idx] : v_lo + idx;
+  for (std::int64_t v = v_lo; v < v_hi; ++v) {
     const std::int64_t elo = ptr[v];
     const std::int64_t ehi = ptr[v + 1];
     const float* TRIAD_RESTRICT arv = ar + v * ar_cols;

@@ -41,14 +41,10 @@ inline void gauss_bwd(const std::int64_t* TRIAD_RESTRICT ptr,
                       float* TRIAD_RESTRICT out,
                       float* TRIAD_RESTRICT oute0, std::int64_t oute0_cols,
                       float* TRIAD_RESTRICT oute1, std::int64_t oute1_cols,
-                      const std::int32_t* TRIAD_RESTRICT list,
-                      std::int64_t count, std::int64_t v_lo,
-                      std::int64_t v_hi) {
+                      std::int64_t v_lo, std::int64_t v_hi) {
   const std::int64_t f = kF > 0 ? kF : f_rt;
   const std::int64_t wout = kernels * f;
-  const std::int64_t total = list != nullptr ? count : v_hi - v_lo;
-  for (std::int64_t idx = 0; idx < total; ++idx) {
-    const std::int64_t v = list != nullptr ? list[idx] : v_lo + idx;
+  for (std::int64_t v = v_lo; v < v_hi; ++v) {
     float* TRIAD_RESTRICT acc = out + v * wout;
     for (std::int64_t j = 0; j < wout; ++j) acc[j] = 0.f;
     const float* TRIAD_RESTRICT xv = feat + v * feat_cols;

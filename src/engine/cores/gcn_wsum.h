@@ -19,23 +19,19 @@ namespace triad::cores {
 
 /// kW > 0 fixes the feature width at compile time so the j-loop fully
 /// unrolls/vectorizes; kW == 0 is the runtime-width fallback (same loop,
-/// width read from `w_rt`). Visits `list[0..count)` when `list` is non-null
-/// (a shard's frontier/interior set), else the range [v_lo, v_hi).
+/// width read from `w_rt`). Visits the vertex range [v_lo, v_hi).
 template <int kW>
 inline void gcn_wsum(const std::int64_t* TRIAD_RESTRICT ptr,
                      const std::int32_t* TRIAD_RESTRICT adj,
                      const float* TRIAD_RESTRICT feat, std::int64_t feat_cols,
                      float* TRIAD_RESTRICT out, std::int64_t w_rt,
-                     const std::int32_t* TRIAD_RESTRICT list,
-                     std::int64_t count, std::int64_t v_lo, std::int64_t v_hi) {
+                     std::int64_t v_lo, std::int64_t v_hi) {
   const std::int64_t w = kW > 0 ? kW : w_rt;
   constexpr std::int64_t kBlock = 64;        // vertices per cache block
   constexpr std::int64_t kPrefetchDist = 8;  // edges ahead
-  const std::int64_t total = list != nullptr ? count : v_hi - v_lo;
-  for (std::int64_t blk = 0; blk < total; blk += kBlock) {
-    const std::int64_t blk_hi = blk + kBlock < total ? blk + kBlock : total;
-    for (std::int64_t idx = blk; idx < blk_hi; ++idx) {
-      const std::int64_t v = list != nullptr ? list[idx] : v_lo + idx;
+  for (std::int64_t blk = v_lo; blk < v_hi; blk += kBlock) {
+    const std::int64_t blk_hi = blk + kBlock < v_hi ? blk + kBlock : v_hi;
+    for (std::int64_t v = blk; v < blk_hi; ++v) {
       float* TRIAD_RESTRICT acc = out + v * w;
       for (std::int64_t j = 0; j < w; ++j) acc[j] = 0.f;
       const std::int64_t elo = ptr[v];

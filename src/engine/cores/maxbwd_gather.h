@@ -25,7 +25,7 @@
 namespace triad::cores {
 
 /// Walk: sequential (center-side) reduction over in-edges of each visited
-/// dst vertex — `list[0..count)` when non-null, else [v_lo, v_hi).
+/// dst vertex in [v_lo, v_hi).
 template <int kW>
 inline void maxbwd_gather(const std::int64_t* TRIAD_RESTRICT ptr,
                           const std::int32_t* TRIAD_RESTRICT eid,
@@ -33,13 +33,9 @@ inline void maxbwd_gather(const std::int64_t* TRIAD_RESTRICT ptr,
                           const std::int32_t* TRIAD_RESTRICT aux,
                           std::int64_t aux_cols, float* TRIAD_RESTRICT out,
                           std::int64_t w_rt,
-                          const std::int32_t* TRIAD_RESTRICT list,
-                          std::int64_t count, std::int64_t v_lo,
-                          std::int64_t v_hi) {
+                          std::int64_t v_lo, std::int64_t v_hi) {
   const std::int64_t w = kW > 0 ? kW : w_rt;
-  const std::int64_t total = list != nullptr ? count : v_hi - v_lo;
-  for (std::int64_t idx = 0; idx < total; ++idx) {
-    const std::int64_t v = list != nullptr ? list[idx] : v_lo + idx;
+  for (std::int64_t v = v_lo; v < v_hi; ++v) {
     float* TRIAD_RESTRICT acc = out + v * w;
     for (std::int64_t j = 0; j < w; ++j) acc[j] = 0.f;
     const float* TRIAD_RESTRICT gv = g + v * g_cols;
@@ -68,13 +64,9 @@ inline void maxbwd_gather_combine(const std::int64_t* TRIAD_RESTRICT ptr,
                                   const std::int32_t* TRIAD_RESTRICT aux,
                                   std::int64_t aux_cols,
                                   float* TRIAD_RESTRICT out, std::int64_t w_rt,
-                                  const std::int32_t* TRIAD_RESTRICT list,
-                                  std::int64_t count, std::int64_t t_lo,
-                                  std::int64_t t_hi) {
+                                  std::int64_t t_lo, std::int64_t t_hi) {
   const std::int64_t w = kW > 0 ? kW : w_rt;
-  const std::int64_t total = list != nullptr ? count : t_hi - t_lo;
-  for (std::int64_t idx = 0; idx < total; ++idx) {
-    const std::int64_t t = list != nullptr ? list[idx] : t_lo + idx;
+  for (std::int64_t t = t_lo; t < t_hi; ++t) {
     float* TRIAD_RESTRICT row = out + t * w;
     for (std::int64_t j = 0; j < w; ++j) row[j] = 0.f;
     const std::int64_t klo = ptr[t];

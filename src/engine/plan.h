@@ -21,7 +21,6 @@
 #include <memory>
 #include <vector>
 
-#include "engine/pipeline.h"
 #include "engine/specialize.h"
 #include "graph/csr.h"
 #include "graph/partition.h"
@@ -53,12 +52,6 @@ struct ShardSchedule {
   std::int64_t v_lo = 0, v_hi = 0;     ///< owned vertex range
   std::int64_t num_vertices = 0;
   std::int64_t local_edges = 0;        ///< in-edges of owned vertices
-  // Pipelined-execution schedule baked from the Partitioning's classification
-  // (in-orientation counts): how much of this shard's work must run before
-  // its publish (frontier) vs how much can overlap neighbors' combines.
-  std::int64_t frontier_vertices = 0;
-  std::int64_t frontier_edges = 0;     ///< in-edges of frontier vertices
-  std::int64_t interior_edges = 0;     ///< in-edges of interior vertices
   std::size_t persistent_bytes = 0;    ///< bound inputs (scaled) + params (full)
   std::size_t estimated_peak_bytes = 0;
 };
@@ -70,23 +63,18 @@ class ExecutionPlan {
   /// carries a per-shard schedule (scaled footprints + per-shard peak
   /// estimates). `specialize` runs the core matcher over every edge program
   /// (see engine/specialize.h); false pins everything to the interpreter (the
-  /// ablation knob). `pipeline` selects dependency-driven sharded execution
-  /// (frontier-first walks + overlapped combine, see engine/pipeline.h);
-  /// false keeps the barrier path — output is bit-identical either way.
-  /// `transport` routes the cross-shard flows through the message-passing
-  /// layer (src/transport/): pipelined boundary signaling over a shard
-  /// fabric, parameter updates through a ParamServer; false keeps direct
-  /// shared memory (the --no-transport ablation). Also bit-identical. The
-  /// plan is immutable afterwards.
+  /// ablation knob). `transport` routes training's parameter updates through
+  /// a ParamServer (src/transport/param_server.h); false keeps the Trainer's
+  /// in-place update (the --no-transport ablation). Output is bit-identical
+  /// either way. The plan is immutable afterwards.
   static ExecutionPlan compile(IrGraph ir, std::int64_t num_vertices,
                                std::int64_t num_edges,
                                const Partitioning* part = nullptr,
-                               bool specialize = true, bool pipeline = true,
-                               bool transport = true);
+                               bool specialize = true, bool transport = true);
   static std::shared_ptr<const ExecutionPlan> compile_shared(
       IrGraph ir, std::int64_t num_vertices, std::int64_t num_edges,
       const Partitioning* part = nullptr, bool specialize = true,
-      bool pipeline = true, bool transport = true);
+      bool transport = true);
 
   ExecutionPlan(ExecutionPlan&&) = default;
   ExecutionPlan& operator=(ExecutionPlan&&) = default;
@@ -129,10 +117,7 @@ class ExecutionPlan {
   /// Wall time compile() spent building this plan.
   double compile_seconds() const { return compile_seconds_; }
 
-  /// Whether sharded execution runs the dependency-driven pipeline.
-  bool pipeline() const { return pipeline_; }
-
-  /// Whether cross-shard flows go through the transport layer.
+  /// Whether training updates parameters through a ParamServer.
   bool transport() const { return transport_; }
 
   /// Core binding selected for edge program `program` (kind == None when the
@@ -155,21 +140,15 @@ class ExecutionPlan {
   std::vector<ShardSchedule> shards_;
   std::vector<CoreBinding> cores_;  ///< per-program, parallel to ir().programs
   double compile_seconds_ = 0.0;
-  bool pipeline_ = true;
   bool transport_ = true;
 };
 
 /// Per-request execution state over a shared immutable plan. Replaces the
 /// run-time half of the old Executor; all analysis lives in ExecutionPlan.
-namespace transport {
-class ShardTransport;
-}  // namespace transport
-
 class PlanRunner {
  public:
   PlanRunner(const Graph& graph, std::shared_ptr<const ExecutionPlan> plan,
              MemoryPool* pool = &global_pool_mem());
-  ~PlanRunner();  ///< out of line: ShardTransport is incomplete here
 
   /// Binds an externally owned tensor to an Input or Param node. Bound
   /// tensors persist across run() calls (training epochs / requests).
@@ -220,12 +199,6 @@ class PlanRunner {
   std::shared_ptr<const ExecutionPlan> plan_;
   MemoryPool* pool_;
   const Partitioning* partition_ = nullptr;  ///< non-owning; null = unsharded
-  /// Combine-dependency schedule for the installed partitioning; built by
-  /// set_partitioning when the plan compiled with pipeline=true.
-  std::unique_ptr<PipelineSchedule> pipeline_sched_;
-  /// Shard fabric for the installed partitioning; built by set_partitioning
-  /// when the plan compiled with transport=true (and pipelines).
-  std::unique_ptr<transport::ShardTransport> shard_tx_;
 
   std::vector<Tensor> slots_;
   std::vector<IntTensor> aux_;

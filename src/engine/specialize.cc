@@ -616,31 +616,29 @@ CoreBinding match_sum_eb(const EdgeProgram& ep) {
 // ---------------------------------------------------------------------------
 
 void run_gcn_wsum(const Graph& g, const EdgeProgram& ep, const CoreBinding& cb,
-                  const CoreArgs& a, const std::int32_t* list,
-                  std::int64_t count, std::int64_t v_lo, std::int64_t v_hi) {
+                  const CoreArgs& a, std::int64_t v_lo, std::int64_t v_hi) {
   const auto& ptr = ep.dst_major ? g.in_ptr() : g.out_ptr();
   const auto& adj = ep.dst_major ? g.in_src() : g.out_dst();
   switch (cb.template_width) {
     case 16:
       cores::gcn_wsum<16>(ptr.data(), adj.data(), a.feat, a.feat_cols, a.out0,
-                          cb.hot_width, list, count, v_lo, v_hi);
+                          cb.hot_width, v_lo, v_hi);
       break;
     case 32:
       cores::gcn_wsum<32>(ptr.data(), adj.data(), a.feat, a.feat_cols, a.out0,
-                          cb.hot_width, list, count, v_lo, v_hi);
+                          cb.hot_width, v_lo, v_hi);
       break;
     case 64:
       cores::gcn_wsum<64>(ptr.data(), adj.data(), a.feat, a.feat_cols, a.out0,
-                          cb.hot_width, list, count, v_lo, v_hi);
+                          cb.hot_width, v_lo, v_hi);
       break;
     default:
       cores::gcn_wsum<0>(ptr.data(), adj.data(), a.feat, a.feat_cols, a.out0,
-                         cb.hot_width, list, count, v_lo, v_hi);
+                         cb.hot_width, v_lo, v_hi);
   }
 }
 
 void run_edgeconv_max(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
-                      const std::int32_t* list, std::int64_t count,
                       std::int64_t v_lo, std::int64_t v_hi) {
   const auto& ptr = g.in_ptr();  // matcher requires dst-major
   const auto& adj = g.in_src();
@@ -649,27 +647,26 @@ void run_edgeconv_max(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
     case 16:
       cores::edgeconv_max<16>(ptr.data(), adj.data(), eid.data(), a.feat,
                               a.feat_cols, a.b, a.b_cols, a.out0, a.aux0,
-                              cb.hot_width, list, count, v_lo, v_hi);
+                              cb.hot_width, v_lo, v_hi);
       break;
     case 32:
       cores::edgeconv_max<32>(ptr.data(), adj.data(), eid.data(), a.feat,
                               a.feat_cols, a.b, a.b_cols, a.out0, a.aux0,
-                              cb.hot_width, list, count, v_lo, v_hi);
+                              cb.hot_width, v_lo, v_hi);
       break;
     case 64:
       cores::edgeconv_max<64>(ptr.data(), adj.data(), eid.data(), a.feat,
                               a.feat_cols, a.b, a.b_cols, a.out0, a.aux0,
-                              cb.hot_width, list, count, v_lo, v_hi);
+                              cb.hot_width, v_lo, v_hi);
       break;
     default:
       cores::edgeconv_max<0>(ptr.data(), adj.data(), eid.data(), a.feat,
                              a.feat_cols, a.b, a.b_cols, a.out0, a.aux0,
-                             cb.hot_width, list, count, v_lo, v_hi);
+                             cb.hot_width, v_lo, v_hi);
   }
 }
 
 void run_gat_softmax(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
-                     const std::int32_t* list, std::int64_t count,
                      std::int64_t v_lo, std::int64_t v_hi) {
   const auto& ptr = g.in_ptr();  // matcher requires dst-major
   const auto& adj = g.in_src();
@@ -679,31 +676,30 @@ void run_gat_softmax(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
       cores::gat_softmax<16>(ptr.data(), adj.data(), eid.data(), a.feat,
                              a.feat_cols, a.a, a.a_cols, a.b, a.b_cols,
                              cb.alpha, cb.heads, cb.hot_width, a.out0, a.aux0,
-                             a.out1, a.out2, list, count, v_lo, v_hi);
+                             a.out1, a.out2, v_lo, v_hi);
       break;
     case 32:
       cores::gat_softmax<32>(ptr.data(), adj.data(), eid.data(), a.feat,
                              a.feat_cols, a.a, a.a_cols, a.b, a.b_cols,
                              cb.alpha, cb.heads, cb.hot_width, a.out0, a.aux0,
-                             a.out1, a.out2, list, count, v_lo, v_hi);
+                             a.out1, a.out2, v_lo, v_hi);
       break;
     case 64:
       cores::gat_softmax<64>(ptr.data(), adj.data(), eid.data(), a.feat,
                              a.feat_cols, a.a, a.a_cols, a.b, a.b_cols,
                              cb.alpha, cb.heads, cb.hot_width, a.out0, a.aux0,
-                             a.out1, a.out2, list, count, v_lo, v_hi);
+                             a.out1, a.out2, v_lo, v_hi);
       break;
     default:
       cores::gat_softmax<0>(ptr.data(), adj.data(), eid.data(), a.feat,
                             a.feat_cols, a.a, a.a_cols, a.b, a.b_cols, cb.alpha,
                             cb.heads, cb.hot_width, a.out0, a.aux0, a.out1,
-                            a.out2, list, count, v_lo, v_hi);
+                            a.out2, v_lo, v_hi);
   }
 }
 
 void run_monet_gauss(const Graph& g, const EdgeProgram& ep,
                      const CoreBinding& cb, const CoreArgs& a,
-                     const std::int32_t* list, std::int64_t count,
                      std::int64_t v_lo, std::int64_t v_hi) {
   const auto& ptr = ep.dst_major ? g.in_ptr() : g.out_ptr();
   const auto& adj = ep.dst_major ? g.in_src() : g.out_dst();
@@ -712,60 +708,54 @@ void run_monet_gauss(const Graph& g, const EdgeProgram& ep,
     case 16:
       cores::monet_gauss<16>(ptr.data(), adj.data(), eid.data(), a.feat,
                              a.feat_cols, a.a, a.a_cols, a.b, a.c, a.b_cols,
-                             cb.heads, cb.hot_width, a.out0, list, count, v_lo,
+                             cb.heads, cb.hot_width, a.out0, v_lo,
                              v_hi);
       break;
     case 32:
       cores::monet_gauss<32>(ptr.data(), adj.data(), eid.data(), a.feat,
                              a.feat_cols, a.a, a.a_cols, a.b, a.c, a.b_cols,
-                             cb.heads, cb.hot_width, a.out0, list, count, v_lo,
+                             cb.heads, cb.hot_width, a.out0, v_lo,
                              v_hi);
       break;
     case 64:
       cores::monet_gauss<64>(ptr.data(), adj.data(), eid.data(), a.feat,
                              a.feat_cols, a.a, a.a_cols, a.b, a.c, a.b_cols,
-                             cb.heads, cb.hot_width, a.out0, list, count, v_lo,
+                             cb.heads, cb.hot_width, a.out0, v_lo,
                              v_hi);
       break;
     default:
       cores::monet_gauss<0>(ptr.data(), adj.data(), eid.data(), a.feat,
                             a.feat_cols, a.a, a.a_cols, a.b, a.c, a.b_cols,
-                            cb.heads, cb.hot_width, a.out0, list, count, v_lo,
+                            cb.heads, cb.hot_width, a.out0, v_lo,
                             v_hi);
   }
 }
 
 void run_maxbwd_gather(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
-                       const std::int32_t* list, std::int64_t count,
                        std::int64_t v_lo, std::int64_t v_hi) {
   const auto& ptr = g.in_ptr();  // matcher requires dst-major
   const auto& eid = g.in_eid();
   switch (cb.template_width) {
     case 16:
       cores::maxbwd_gather<16>(ptr.data(), eid.data(), a.feat, a.feat_cols,
-                               a.mask, a.mask_cols, a.out0, cb.hot_width, list,
-                               count, v_lo, v_hi);
+                               a.mask, a.mask_cols, a.out0, cb.hot_width, v_lo, v_hi);
       break;
     case 32:
       cores::maxbwd_gather<32>(ptr.data(), eid.data(), a.feat, a.feat_cols,
-                               a.mask, a.mask_cols, a.out0, cb.hot_width, list,
-                               count, v_lo, v_hi);
+                               a.mask, a.mask_cols, a.out0, cb.hot_width, v_lo, v_hi);
       break;
     case 64:
       cores::maxbwd_gather<64>(ptr.data(), eid.data(), a.feat, a.feat_cols,
-                               a.mask, a.mask_cols, a.out0, cb.hot_width, list,
-                               count, v_lo, v_hi);
+                               a.mask, a.mask_cols, a.out0, cb.hot_width, v_lo, v_hi);
       break;
     default:
       cores::maxbwd_gather<0>(ptr.data(), eid.data(), a.feat, a.feat_cols,
-                              a.mask, a.mask_cols, a.out0, cb.hot_width, list,
-                              count, v_lo, v_hi);
+                              a.mask, a.mask_cols, a.out0, cb.hot_width, v_lo, v_hi);
   }
 }
 
 void run_maxbwd_gather_combine(const Graph& g, const EdgeProgram& ep,
                                const CoreBinding& cb, const CoreArgs& a,
-                               const std::int32_t* list, std::int64_t count,
                                std::int64_t t_lo, std::int64_t t_hi) {
   const VertexOutput& vo = ep.vertex_outputs[cb.boundary_out];
   const auto& ptr = vo.reverse ? g.out_ptr() : g.in_ptr();
@@ -775,31 +765,30 @@ void run_maxbwd_gather_combine(const Graph& g, const EdgeProgram& ep,
     case 16:
       cores::maxbwd_gather_combine<16>(ptr.data(), adj.data(), eid.data(),
                                        a.feat, a.feat_cols, a.mask, a.mask_cols,
-                                       a.outb, cb.hot_width, list, count, t_lo,
+                                       a.outb, cb.hot_width, t_lo,
                                        t_hi);
       break;
     case 32:
       cores::maxbwd_gather_combine<32>(ptr.data(), adj.data(), eid.data(),
                                        a.feat, a.feat_cols, a.mask, a.mask_cols,
-                                       a.outb, cb.hot_width, list, count, t_lo,
+                                       a.outb, cb.hot_width, t_lo,
                                        t_hi);
       break;
     case 64:
       cores::maxbwd_gather_combine<64>(ptr.data(), adj.data(), eid.data(),
                                        a.feat, a.feat_cols, a.mask, a.mask_cols,
-                                       a.outb, cb.hot_width, list, count, t_lo,
+                                       a.outb, cb.hot_width, t_lo,
                                        t_hi);
       break;
     default:
       cores::maxbwd_gather_combine<0>(ptr.data(), adj.data(), eid.data(),
                                       a.feat, a.feat_cols, a.mask, a.mask_cols,
-                                      a.outb, cb.hot_width, list, count, t_lo,
+                                      a.outb, cb.hot_width, t_lo,
                                       t_hi);
   }
 }
 
 void run_gat_scorebwd(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
-                      const std::int32_t* list, std::int64_t count,
                       std::int64_t v_lo, std::int64_t v_hi) {
   const auto& ptr = g.in_ptr();  // matcher requires dst-major
   const auto& eid = g.in_eid();
@@ -807,32 +796,31 @@ void run_gat_scorebwd(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
     case 16:
       cores::gat_scorebwd<16>(ptr.data(), eid.data(), a.feat, a.feat_cols, a.b,
                               a.b_cols, a.a, a.a_cols, a.mask, a.mask_cols,
-                              cb.alpha, a.out0, cb.hot_width, list, count, v_lo,
+                              cb.alpha, a.out0, cb.hot_width, v_lo,
                               v_hi);
       break;
     case 32:
       cores::gat_scorebwd<32>(ptr.data(), eid.data(), a.feat, a.feat_cols, a.b,
                               a.b_cols, a.a, a.a_cols, a.mask, a.mask_cols,
-                              cb.alpha, a.out0, cb.hot_width, list, count, v_lo,
+                              cb.alpha, a.out0, cb.hot_width, v_lo,
                               v_hi);
       break;
     case 64:
       cores::gat_scorebwd<64>(ptr.data(), eid.data(), a.feat, a.feat_cols, a.b,
                               a.b_cols, a.a, a.a_cols, a.mask, a.mask_cols,
-                              cb.alpha, a.out0, cb.hot_width, list, count, v_lo,
+                              cb.alpha, a.out0, cb.hot_width, v_lo,
                               v_hi);
       break;
     default:
       cores::gat_scorebwd<0>(ptr.data(), eid.data(), a.feat, a.feat_cols, a.b,
                              a.b_cols, a.a, a.a_cols, a.mask, a.mask_cols,
-                             cb.alpha, a.out0, cb.hot_width, list, count, v_lo,
+                             cb.alpha, a.out0, cb.hot_width, v_lo,
                              v_hi);
   }
 }
 
 void run_gat_scorebwd_combine(const Graph& g, const EdgeProgram& ep,
                               const CoreBinding& cb, const CoreArgs& a,
-                              const std::int32_t* list, std::int64_t count,
                               std::int64_t t_lo, std::int64_t t_hi) {
   const VertexOutput& vo = ep.vertex_outputs[cb.boundary_out];
   const auto& ptr = vo.reverse ? g.out_ptr() : g.in_ptr();
@@ -843,33 +831,32 @@ void run_gat_scorebwd_combine(const Graph& g, const EdgeProgram& ep,
       cores::gat_scorebwd_combine<16>(ptr.data(), adj.data(), eid.data(),
                                       a.feat, a.feat_cols, a.b, a.b_cols, a.a,
                                       a.a_cols, a.mask, a.mask_cols, cb.alpha,
-                                      a.outb, cb.hot_width, list, count, t_lo,
+                                      a.outb, cb.hot_width, t_lo,
                                       t_hi);
       break;
     case 32:
       cores::gat_scorebwd_combine<32>(ptr.data(), adj.data(), eid.data(),
                                       a.feat, a.feat_cols, a.b, a.b_cols, a.a,
                                       a.a_cols, a.mask, a.mask_cols, cb.alpha,
-                                      a.outb, cb.hot_width, list, count, t_lo,
+                                      a.outb, cb.hot_width, t_lo,
                                       t_hi);
       break;
     case 64:
       cores::gat_scorebwd_combine<64>(ptr.data(), adj.data(), eid.data(),
                                       a.feat, a.feat_cols, a.b, a.b_cols, a.a,
                                       a.a_cols, a.mask, a.mask_cols, cb.alpha,
-                                      a.outb, cb.hot_width, list, count, t_lo,
+                                      a.outb, cb.hot_width, t_lo,
                                       t_hi);
       break;
     default:
       cores::gat_scorebwd_combine<0>(ptr.data(), adj.data(), eid.data(), a.feat,
                                      a.feat_cols, a.b, a.b_cols, a.a, a.a_cols,
                                      a.mask, a.mask_cols, cb.alpha, a.outb,
-                                     cb.hot_width, list, count, t_lo, t_hi);
+                                     cb.hot_width, t_lo, t_hi);
   }
 }
 
 void run_gat_attnbwd(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
-                     const std::int32_t* list, std::int64_t count,
                      std::int64_t v_lo, std::int64_t v_hi) {
   const auto& ptr = g.in_ptr();  // matcher requires dst-major
   const auto& adj = g.in_src();
@@ -879,7 +866,7 @@ void run_gat_attnbwd(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
         ptr.data(), adj.data(), eid.data(), a.feat, a.feat_cols, a.a, a.a_cols,
         a.b, a.b_cols, a.c, a.c_cols, a.d, a.d_cols, a.g, a.g_cols, cb.alpha,
         cb.heads, cb.hot_width, a.out0, a.out1, a.oute0, a.oute0_cols, a.oute1,
-        a.oute1_cols, list, count, v_lo, v_hi);
+        a.oute1_cols, v_lo, v_hi);
   };
   switch (cb.template_width) {
     case 16: walk(std::integral_constant<int, 16>{}); break;
@@ -890,8 +877,7 @@ void run_gat_attnbwd(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
 }
 
 void run_gat_attnbwd_combine(const Graph& g, const CoreBinding& cb,
-                             const CoreArgs& a, const std::int32_t* list,
-                             std::int64_t count, std::int64_t t_lo,
+                             const CoreArgs& a, std::int64_t t_lo,
                              std::int64_t t_hi) {
   const auto& ptr = g.out_ptr();  // the boundary output folds to src
   const auto& adj = g.out_dst();
@@ -899,7 +885,7 @@ void run_gat_attnbwd_combine(const Graph& g, const CoreBinding& cb,
     cores::gat_attnbwd_combine<decltype(kf)::value>(
         ptr.data(), adj.data(), a.a, a.a_cols, a.b, a.b_cols, a.c, a.c_cols,
         a.d, a.d_cols, a.g, a.g_cols, cb.alpha, cb.heads, cb.hot_width, a.outb,
-        list, count, t_lo, t_hi);
+        t_lo, t_hi);
   };
   switch (cb.template_width) {
     case 16: combine(std::integral_constant<int, 16>{}); break;
@@ -910,7 +896,6 @@ void run_gat_attnbwd_combine(const Graph& g, const CoreBinding& cb,
 }
 
 void run_gauss_bwd(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
-                   const std::int32_t* list, std::int64_t count,
                    std::int64_t v_lo, std::int64_t v_hi) {
   const auto& ptr = g.out_ptr();  // matcher requires src-major
   const auto& adj = g.out_dst();
@@ -920,54 +905,49 @@ void run_gauss_bwd(const Graph& g, const CoreBinding& cb, const CoreArgs& a,
       cores::gauss_bwd<16>(ptr.data(), adj.data(), eid.data(), a.feat,
                            a.feat_cols, a.g, a.g_cols, a.a, a.a_cols, a.b, a.c,
                            a.b_cols, cb.heads, cb.hot_width, a.out0, a.oute0,
-                           a.oute0_cols, a.oute1, a.oute1_cols, list, count,
-                           v_lo, v_hi);
+                           a.oute0_cols, a.oute1, a.oute1_cols, v_lo, v_hi);
       break;
     case 32:
       cores::gauss_bwd<32>(ptr.data(), adj.data(), eid.data(), a.feat,
                            a.feat_cols, a.g, a.g_cols, a.a, a.a_cols, a.b, a.c,
                            a.b_cols, cb.heads, cb.hot_width, a.out0, a.oute0,
-                           a.oute0_cols, a.oute1, a.oute1_cols, list, count,
-                           v_lo, v_hi);
+                           a.oute0_cols, a.oute1, a.oute1_cols, v_lo, v_hi);
       break;
     case 64:
       cores::gauss_bwd<64>(ptr.data(), adj.data(), eid.data(), a.feat,
                            a.feat_cols, a.g, a.g_cols, a.a, a.a_cols, a.b, a.c,
                            a.b_cols, cb.heads, cb.hot_width, a.out0, a.oute0,
-                           a.oute0_cols, a.oute1, a.oute1_cols, list, count,
-                           v_lo, v_hi);
+                           a.oute0_cols, a.oute1, a.oute1_cols, v_lo, v_hi);
       break;
     default:
       cores::gauss_bwd<0>(ptr.data(), adj.data(), eid.data(), a.feat,
                           a.feat_cols, a.g, a.g_cols, a.a, a.a_cols, a.b, a.c,
                           a.b_cols, cb.heads, cb.hot_width, a.out0, a.oute0,
-                          a.oute0_cols, a.oute1, a.oute1_cols, list, count,
-                          v_lo, v_hi);
+                          a.oute0_cols, a.oute1, a.oute1_cols, v_lo, v_hi);
   }
 }
 
 void run_sum_eb(const Graph& g, const EdgeProgram& ep, const CoreBinding& cb,
-                const CoreArgs& a, const std::int32_t* list,
-                std::int64_t count, std::int64_t t_lo, std::int64_t t_hi) {
+                const CoreArgs& a, std::int64_t t_lo, std::int64_t t_hi) {
   const VertexOutput& vo = ep.vertex_outputs[0];
   const auto& ptr = vo.reverse ? g.out_ptr() : g.in_ptr();
   const auto& adj = vo.reverse ? g.out_dst() : g.in_src();
   switch (cb.template_width) {
     case 16:
       cores::sum_eb<16>(ptr.data(), adj.data(), a.feat, a.feat_cols, a.out0,
-                        cb.hot_width, list, count, t_lo, t_hi);
+                        cb.hot_width, t_lo, t_hi);
       break;
     case 32:
       cores::sum_eb<32>(ptr.data(), adj.data(), a.feat, a.feat_cols, a.out0,
-                        cb.hot_width, list, count, t_lo, t_hi);
+                        cb.hot_width, t_lo, t_hi);
       break;
     case 64:
       cores::sum_eb<64>(ptr.data(), adj.data(), a.feat, a.feat_cols, a.out0,
-                        cb.hot_width, list, count, t_lo, t_hi);
+                        cb.hot_width, t_lo, t_hi);
       break;
     default:
       cores::sum_eb<0>(ptr.data(), adj.data(), a.feat, a.feat_cols, a.out0,
-                       cb.hot_width, list, count, t_lo, t_hi);
+                       cb.hot_width, t_lo, t_hi);
   }
 }
 
@@ -1140,59 +1120,57 @@ CoreArgs resolve_core_args(const CoreBinding& cb, const EdgeProgram& ep,
   return a;
 }
 
-void run_core_span(const Graph& g, const EdgeProgram& ep,
-                   const CoreBinding& cb, const CoreArgs& args,
-                   const std::int32_t* list, std::int64_t count,
-                   std::int64_t v_lo, std::int64_t v_hi) {
+void run_core_range(const Graph& g, const EdgeProgram& ep,
+                    const CoreBinding& cb, const CoreArgs& args,
+                    std::int64_t v_lo, std::int64_t v_hi) {
   switch (cb.kind) {
     case CoreKind::GcnWsum:
-      run_gcn_wsum(g, ep, cb, args, list, count, v_lo, v_hi);
+      run_gcn_wsum(g, ep, cb, args, v_lo, v_hi);
       break;
     case CoreKind::GatSoftmax:
-      run_gat_softmax(g, cb, args, list, count, v_lo, v_hi);
+      run_gat_softmax(g, cb, args, v_lo, v_hi);
       break;
     case CoreKind::EdgeConvMax:
-      run_edgeconv_max(g, cb, args, list, count, v_lo, v_hi);
+      run_edgeconv_max(g, cb, args, v_lo, v_hi);
       break;
     case CoreKind::MoNetGauss:
-      run_monet_gauss(g, ep, cb, args, list, count, v_lo, v_hi);
+      run_monet_gauss(g, ep, cb, args, v_lo, v_hi);
       break;
     case CoreKind::MaxBwdGather:
-      run_maxbwd_gather(g, cb, args, list, count, v_lo, v_hi);
+      run_maxbwd_gather(g, cb, args, v_lo, v_hi);
       break;
     case CoreKind::GatScoreBwd:
-      run_gat_scorebwd(g, cb, args, list, count, v_lo, v_hi);
+      run_gat_scorebwd(g, cb, args, v_lo, v_hi);
       break;
     case CoreKind::GatAttnBwd:
-      run_gat_attnbwd(g, cb, args, list, count, v_lo, v_hi);
+      run_gat_attnbwd(g, cb, args, v_lo, v_hi);
       break;
     case CoreKind::GaussBwd:
-      run_gauss_bwd(g, cb, args, list, count, v_lo, v_hi);
+      run_gauss_bwd(g, cb, args, v_lo, v_hi);
       break;
     case CoreKind::SumEb:
-      run_sum_eb(g, ep, cb, args, list, count, v_lo, v_hi);
+      run_sum_eb(g, ep, cb, args, v_lo, v_hi);
       break;
     case CoreKind::None:
-      TRIAD_UNREACHABLE("run_core_span on an unmatched program");
+      TRIAD_UNREACHABLE("run_core_range on an unmatched program");
   }
 }
 
-void run_core_combine_span(const Graph& g, const EdgeProgram& ep,
-                           const CoreBinding& cb, const CoreArgs& args,
-                           const std::int32_t* list, std::int64_t count,
-                           std::int64_t t_lo, std::int64_t t_hi) {
+void run_core_combine_range(const Graph& g, const EdgeProgram& ep,
+                            const CoreBinding& cb, const CoreArgs& args,
+                            std::int64_t t_lo, std::int64_t t_hi) {
   switch (cb.kind) {
     case CoreKind::MaxBwdGather:
-      run_maxbwd_gather_combine(g, ep, cb, args, list, count, t_lo, t_hi);
+      run_maxbwd_gather_combine(g, ep, cb, args, t_lo, t_hi);
       break;
     case CoreKind::GatScoreBwd:
-      run_gat_scorebwd_combine(g, ep, cb, args, list, count, t_lo, t_hi);
+      run_gat_scorebwd_combine(g, ep, cb, args, t_lo, t_hi);
       break;
     case CoreKind::GatAttnBwd:
-      run_gat_attnbwd_combine(g, cb, args, list, count, t_lo, t_hi);
+      run_gat_attnbwd_combine(g, cb, args, t_lo, t_hi);
       break;
     default:
-      TRIAD_UNREACHABLE("run_core_combine_span on a core without a boundary");
+      TRIAD_UNREACHABLE("run_core_combine_range on a core without a boundary");
   }
 }
 

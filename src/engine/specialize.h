@@ -24,7 +24,7 @@
 ///    stash shapes), two phases (gat_attnbwd: GAT's attention-aggregation
 ///    backward) and at most one cross-orientation Sum reduction. The walk
 ///    core handles the sequential outputs and edge stores; the boundary
-///    output is finalized by run_core_combine_span, which folds each target
+///    output is finalized by run_core_combine_range, which folds each target
 ///    row in the same fixed reverse-orientation edge order as the
 ///    interpreter's boundary-combine sweep (recomputing the per-edge SSA
 ///    value instead of stashing it — identical bits, no O(|E|·w) stash).
@@ -108,7 +108,7 @@ struct CoreBinding {
   int boundary_out = -1;
 
   bool specialized() const { return kind != CoreKind::None; }
-  /// True when run_core_combine_span must run after the walk to finalize a
+  /// True when run_core_combine_range must run after the walk to finalize a
   /// cross-orientation reduction (mirrors ResolvedProgram::has_boundary).
   bool has_boundary() const { return boundary_out >= 0; }
   /// Label used in the compile report, e.g. "gat_softmax/w64" (template
@@ -154,32 +154,22 @@ struct CoreArgs {
 CoreArgs resolve_core_args(const CoreBinding& cb, const EdgeProgram& ep,
                            const VmBindings& b);
 
-/// Runs the bound core's walk over owned vertices of the program's primary
-/// orientation — `list[0..count)` when `list` is non-null (a shard's frontier
-/// or interior set), else the range [v_lo, v_hi). Serial — callers provide
-/// the parallelism, like the interpreter's walk_vertex_span. Any visit order
-/// over disjoint sets is bit-identical (vertices share no walk state).
-void run_core_span(const Graph& g, const EdgeProgram& ep,
-                   const CoreBinding& cb, const CoreArgs& args,
-                   const std::int32_t* list, std::int64_t count,
-                   std::int64_t v_lo, std::int64_t v_hi);
+/// Runs the bound core's walk over the owned vertices [v_lo, v_hi) of the
+/// program's primary orientation. Serial — callers provide the parallelism,
+/// like the interpreter's walk_vertex_range. Disjoint ranges may run
+/// concurrently (vertices share no walk state).
+void run_core_range(const Graph& g, const EdgeProgram& ep,
+                    const CoreBinding& cb, const CoreArgs& args,
+                    std::int64_t v_lo, std::int64_t v_hi);
 
-inline void run_core_range(const Graph& g, const EdgeProgram& ep,
-                           const CoreBinding& cb, const CoreArgs& args,
-                           std::int64_t v_lo, std::int64_t v_hi) {
-  run_core_span(g, ep, cb, args, nullptr, 0, v_lo, v_hi);
-}
-
-/// Finalizes the binding's boundary output (cb.has_boundary()) for the given
-/// target vertices — `list[0..count)` when `list` is non-null, else
-/// [t_lo, t_hi). Folds each target row in its fixed reverse-orientation edge
-/// order, recomputing the per-edge contribution exactly as the interpreter's
-/// combine replay would — bit-identical for any thread/shard count. Serial;
-/// callers schedule disjoint target sets concurrently (the sharded runners
-/// issue one span per shard, barriered or pipelined).
-void run_core_combine_span(const Graph& g, const EdgeProgram& ep,
-                           const CoreBinding& cb, const CoreArgs& args,
-                           const std::int32_t* list, std::int64_t count,
-                           std::int64_t t_lo, std::int64_t t_hi);
+/// Finalizes the binding's boundary output (cb.has_boundary()) for the target
+/// vertices [t_lo, t_hi). Folds each target row in its fixed
+/// reverse-orientation edge order, recomputing the per-edge contribution
+/// exactly as the interpreter's combine replay would — bit-identical for any
+/// thread/shard count. Serial; callers schedule disjoint target ranges
+/// concurrently (the sharded runner issues one range per shard).
+void run_core_combine_range(const Graph& g, const EdgeProgram& ep,
+                            const CoreBinding& cb, const CoreArgs& args,
+                            std::int64_t t_lo, std::int64_t t_hi);
 
 }  // namespace triad

@@ -4,12 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <memory>
 #include <vector>
 
-#include "engine/pipeline.h"
-#include "transport/exchange.h"
 #include "support/counters.h"
 #include "support/macros.h"
 #include "support/parallel.h"
@@ -393,24 +391,19 @@ inline void eval_instr(const RInstr& in, WorkerState& ws, const EdgeProgram& ep,
   }
 }
 
-/// Walks vertices of the primary orientation, running every live phase per
-/// vertex. Visits `list[0..count)` when `list` is non-null, else the range
-/// [v_lo, v_hi). Every phase runs per vertex and vertices share no walk
-/// state, so any visit order — in particular the pipelined frontier-first
-/// order — produces bit-identical output. Strictly serial — shard bodies and
-/// chunk bodies call this from pool workers, so it must not spawn nested
-/// parallelism.
-void walk_vertex_span(const Graph& g, const EdgeProgram& ep,
-                      ResolvedProgram& rp, const std::int32_t* list,
-                      std::int64_t count, std::int64_t v_lo,
-                      std::int64_t v_hi) {
+/// Walks vertices [v_lo, v_hi) of the primary orientation, running every
+/// live phase per vertex. Every phase runs per vertex and vertices share no
+/// walk state, so disjoint ranges may run concurrently and produce
+/// bit-identical output. Strictly serial — shard bodies and chunk bodies call
+/// this from pool workers, so it must not spawn nested parallelism.
+void walk_vertex_range(const Graph& g, const EdgeProgram& ep,
+                       ResolvedProgram& rp, std::int64_t v_lo,
+                       std::int64_t v_hi) {
   const auto& ptr = ep.dst_major ? g.in_ptr() : g.out_ptr();
   const auto& adj = ep.dst_major ? g.in_src() : g.out_dst();
   const auto& eid = ep.dst_major ? g.in_eid() : g.out_eid();
   WorkerState& ws = worker_scratch(ep);
-  const std::int64_t total = list != nullptr ? count : v_hi - v_lo;
-  for (std::int64_t idx = 0; idx < total; ++idx) {
-    const std::int64_t v = list != nullptr ? list[idx] : v_lo + idx;
+  for (std::int64_t v = v_lo; v < v_hi; ++v) {
     const std::int64_t elo = ptr[v];
     const std::int64_t ehi = ptr[v + 1];
     for (std::size_t p = 0; p < ep.phases.size(); ++p) {
@@ -461,12 +454,6 @@ void walk_vertex_span(const Graph& g, const EdgeProgram& ep,
   }
 }
 
-void walk_vertex_range(const Graph& g, const EdgeProgram& ep,
-                       ResolvedProgram& rp, std::int64_t v_lo,
-                       std::int64_t v_hi) {
-  walk_vertex_span(g, ep, rp, nullptr, 0, v_lo, v_hi);
-}
-
 /// Edge-balanced walk over edges [e_lo, e_hi). Serial; see walk_vertex_range.
 void walk_edge_range(const Graph& g, const EdgeProgram& ep, ResolvedProgram& rp,
                      std::int64_t e_lo, std::int64_t e_hi) {
@@ -486,19 +473,17 @@ void walk_edge_range(const Graph& g, const EdgeProgram& ep, ResolvedProgram& rp,
   }
 }
 
-/// Boundary combine over a set of target vertices — `list[0..count)` when
-/// `list` is non-null, else the range [t_lo, t_hi). Folds each target row in
-/// its fixed reverse-orientation edge-list order; that order is a property of
-/// the graph, so the reduction result is bit-identical for every thread/shard
-/// count and for every scheduling of disjoint target sets. Contributions come
-/// from the stash, or — for elided outputs — from replaying the phase's
-/// side-effect-free instruction prefix per edge (registers are SSA per edge,
-/// so the replay reproduces the walk's value exactly). Serial; callers
-/// schedule disjoint target sets concurrently.
-void combine_boundary_targets(const Graph& g, const EdgeProgram& ep,
-                              ResolvedProgram& rp, const std::int32_t* list,
-                              std::int64_t count, std::int64_t t_lo,
-                              std::int64_t t_hi) {
+/// Boundary combine over the target vertices [t_lo, t_hi). Folds each target
+/// row in its fixed reverse-orientation edge-list order; that order is a
+/// property of the graph, so the reduction result is bit-identical for every
+/// thread/shard count and for every scheduling of disjoint target ranges.
+/// Contributions come from the stash, or — for elided outputs — from
+/// replaying the phase's side-effect-free instruction prefix per edge
+/// (registers are SSA per edge, so the replay reproduces the walk's value
+/// exactly). Serial; callers schedule disjoint target ranges concurrently.
+void combine_boundary_range(const Graph& g, const EdgeProgram& ep,
+                            ResolvedProgram& rp, std::int64_t t_lo,
+                            std::int64_t t_hi) {
   WorkerState& ws = worker_scratch(ep);
   for (std::size_t i = 0; i < ep.vertex_outputs.size(); ++i) {
     if (sequential_reduce(ep, ep.vertex_outputs[i])) continue;
@@ -513,9 +498,7 @@ void combine_boundary_targets(const Graph& g, const EdgeProgram& ep,
     const std::vector<RInstr>& replay = rp.recompute[i];
     const int sreg = rp.src_reg[i];
     float* out = rp.vout_data[i];
-    const std::int64_t total = list != nullptr ? count : t_hi - t_lo;
-    for (std::int64_t idx = 0; idx < total; ++idx) {
-      const std::int64_t t = list != nullptr ? list[idx] : t_lo + idx;
+    for (std::int64_t t = t_lo; t < t_hi; ++t) {
       float* row = out + t * w;
       std::fill_n(row, w, 0.f);
       for (std::int64_t k = ptr[t]; k < ptr[t + 1]; ++k) {
@@ -544,8 +527,7 @@ void combine_boundary(const Graph& g, const EdgeProgram& ep,
   if (!rp.has_boundary) return;
   parallel_for_chunks(0, g.num_vertices(),
                       [&](std::int64_t t_lo, std::int64_t t_hi) {
-                        combine_boundary_targets(g, ep, rp, nullptr, 0, t_lo,
-                                                 t_hi);
+                        combine_boundary_range(g, ep, rp, t_lo, t_hi);
                       },
                       /*grain=*/256);
 }
@@ -627,7 +609,9 @@ void charge_program(std::int64_t n_v, std::int64_t m_e, const EdgeProgram& ep) {
 /// Extra accounting a sharded run incurs on top of the per-shard kernels:
 /// cross-shard boundary contributions must leave the shard and be folded at
 /// the owner — one modeled read + write per crossing element per boundary
-/// reduction (the halo-exchange analogue of Dorylus/NeutronStar).
+/// reduction (the halo-exchange analogue of Dorylus/NeutronStar). Derived
+/// from the partition's cut, not simulated; this is the only place the
+/// cross-shard volume is charged.
 void charge_sharded_combine(const Partitioning& part, const EdgeProgram& ep) {
   PerfCounters& c = global_counters();
   const auto cut = static_cast<std::uint64_t>(part.cut_edges());
@@ -714,8 +698,7 @@ void run_edge_program(const Graph& g, const EdgeProgram& ep, const VmBindings& b
     if (core->has_boundary()) {
       parallel_for_chunks(0, g.num_vertices(),
                           [&](std::int64_t lo, std::int64_t hi) {
-                            run_core_combine_span(g, ep, *core, args, nullptr,
-                                                  0, lo, hi);
+                            run_core_combine_range(g, ep, *core, args, lo, hi);
                           },
                           /*grain=*/256);
     }
@@ -741,178 +724,94 @@ void run_edge_program(const Graph& g, const EdgeProgram& ep, const VmBindings& b
 
 namespace {
 
-/// Barrier path: walk all shards, join, then combine as K owner-range tasks.
-/// Per-task walk/combine durations land in `walk_s` / `comb_s` (seconds).
-void run_sharded_barrier(const Graph& g, const Partitioning& part,
-                         const EdgeProgram& ep, ResolvedProgram& rp,
-                         std::vector<double>& walk_s,
-                         std::vector<double>& comb_s) {
-  const int k = part.num_shards();
-  if (ep.mapping == WorkMapping::VertexBalanced) {
-    // One unit of pool work per shard: the shard is the placement unit, so
-    // there is deliberately no intra-shard work stealing.
-    parallel_for(0, k, [&](std::int64_t s) {
-      const Shard& sh = part.shard(static_cast<int>(s));
-      Timer t;
-      walk_vertex_range(g, ep, rp, sh.v_lo, sh.v_hi);
-      walk_s[s] = t.seconds();
-    }, /*grain=*/1);
-  } else {
-    // Edge-balanced programs shard the flat edge list into K even ranges;
-    // vertex ownership is irrelevant to the walk and the combine restores
-    // determinism regardless.
-    const std::int64_t m = g.num_edges();
-    parallel_for(0, k, [&](std::int64_t s) {
-      const EdgeRange r = edge_shard_range(m, k, static_cast<int>(s));
-      Timer t;
-      walk_edge_range(g, ep, rp, r.lo, r.hi);
-      walk_s[s] = t.seconds();
-    }, /*grain=*/1);
-  }
-  if (rp.has_boundary) {
-    // Owner-range combine: shard ranges partition [0, |V|), and the fold
-    // order within each row is fixed, so K concurrent tasks reproduce the
-    // serial sweep bit for bit.
-    parallel_for(0, k, [&](std::int64_t s) {
-      const Shard& sh = part.shard(static_cast<int>(s));
-      Timer t;
-      combine_boundary_targets(g, ep, rp, nullptr, 0, sh.v_lo, sh.v_hi);
-      comb_s[s] = t.seconds();
-    }, /*grain=*/1);
-  }
-}
+/// One shard's walk or combine body for run_sharded_barrier.
+using ShardFn = std::function<void(const Shard&)>;
 
-/// Post-join accounting shared by both pipelined runners (PerfCounters is
-/// thread-local, so this runs on the caller thread only).
-void charge_pipelined(const Partitioning& part, const EdgeProgram& ep,
-                      const PipelineTiming& tm) {
-  PerfCounters& c = global_counters();
-  for (int s = 0; s < part.num_shards(); ++s) {
-    const Shard& sh = part.shard(s);
-    c.frontier_edges += static_cast<std::uint64_t>(
-        ep.dst_major ? sh.frontier_in_edges : sh.frontier_out_edges);
-    c.interior_edges += static_cast<std::uint64_t>(
-        ep.dst_major ? sh.interior_in_edges() : sh.interior_out_edges());
-  }
-  c.combine_overlap_ns += static_cast<std::uint64_t>(tm.overlap_s * 1e9);
-}
-
-/// Specialized barrier path: per-shard walk-core tasks, join, then — when the
-/// binding has a boundary output — per-shard owner-range combine-core tasks
-/// (shard ranges partition [0, |V|) and each row's fold order is fixed, so K
-/// concurrent tasks reproduce the serial sweep bit for bit).
-void run_sharded_core_barrier(const Graph& g, const Partitioning& part,
-                              const EdgeProgram& ep, const CoreBinding& core,
-                              const CoreArgs& args,
-                              std::vector<double>& walk_s,
-                              std::vector<double>& comb_s) {
+/// The sharded schedule, shared by the interpreter and the bound cores: one
+/// pool task per shard runs `walk`, all tasks join, then — unless `combine`
+/// is empty — one pool task per shard runs `combine` over the shard's owned
+/// target range. Shard ranges partition [0, |V|) and each row's fold order is
+/// fixed by the graph, so the K combine tasks reproduce the serial sweep bit
+/// for bit. Per-task durations are charged to walk_ns / combine_ns after the
+/// join (the counter ledger is thread-local).
+void run_sharded_barrier(const Partitioning& part, const ShardFn& walk,
+                         const ShardFn& combine) {
   const int k = part.num_shards();
+  std::vector<double> walk_s(k, 0.0), comb_s(k, 0.0);
+  // One unit of pool work per shard: the shard is the placement unit, so
+  // there is deliberately no intra-shard work stealing.
   parallel_for(0, k, [&](std::int64_t s) {
-    const Shard& sh = part.shard(static_cast<int>(s));
     Timer t;
-    run_core_range(g, ep, core, args, sh.v_lo, sh.v_hi);
+    walk(part.shard(static_cast<int>(s)));
     walk_s[s] = t.seconds();
   }, /*grain=*/1);
-  if (core.has_boundary()) {
+  if (combine) {
     parallel_for(0, k, [&](std::int64_t s) {
-      const Shard& sh = part.shard(static_cast<int>(s));
       Timer t;
-      run_core_combine_span(g, ep, core, args, nullptr, 0, sh.v_lo, sh.v_hi);
+      combine(part.shard(static_cast<int>(s)));
       comb_s[s] = t.seconds();
     }, /*grain=*/1);
   }
-}
-
-/// Wire size of one boundary stash row: every non-sequential output's width,
-/// in floats — what a frontier publish hands per cut edge to the consuming
-/// shard's combine (and what a socket transport would serialize).
-std::size_t boundary_row_bytes(const EdgeProgram& ep) {
-  std::size_t bytes = 0;
-  for (const VertexOutput& vo : ep.vertex_outputs)
-    if (!sequential_reduce(ep, vo))
-      bytes += static_cast<std::size_t>(vo.width) * sizeof(float);
-  return bytes;
+  PerfCounters& c = global_counters();
+  for (int s = 0; s < k; ++s) {
+    c.walk_ns += static_cast<std::uint64_t>(walk_s[s] * 1e9);
+    c.combine_ns += static_cast<std::uint64_t>(comb_s[s] * 1e9);
+  }
 }
 
 }  // namespace
 
 void run_edge_program_sharded(const Graph& g, const Partitioning& part,
                               const EdgeProgram& ep, const VmBindings& b,
-                              const CoreBinding* core,
-                              const PipelineSchedule* pipeline,
-                              bool backward,
-                              transport::ShardTransport* transport) {
+                              const CoreBinding* core, bool backward) {
   check_program(ep);
   TRIAD_CHECK_EQ(part.num_vertices(), g.num_vertices(),
                  "partitioning built for a different graph");
 
   const int k = part.num_shards();
   PerfCounters& c = global_counters();
-  const transport::TransportStats tx0 =
-      transport != nullptr ? transport->stats() : transport::TransportStats{};
-  std::vector<double> walk_s(k, 0.0), comb_s(k, 0.0);
   if (core != nullptr && core->specialized()) {
-    // Specialized path: shard-per-pool-task like the interpreter. Bindings
-    // with a boundary output run their combine core per owner shard —
-    // barriered, or through the same frontier-first pipelined skeleton as
-    // the interpreter when a schedule is installed. Bit-identical to the
-    // single-shard core either way (same per-vertex loops, same fold order).
+    // Bound core: per-shard walk-core tasks, then — when the binding has a
+    // boundary output — per-shard owner-range combine-core tasks.
     const CoreArgs args = resolve_core_args(*core, ep, b);
-    if (pipeline != nullptr && ep.mapping == WorkMapping::VertexBalanced) {
-      TRIAD_CHECK_EQ(pipeline->num_shards(), k,
-                     "pipeline schedule built for a different partitioning");
-      std::unique_ptr<transport::BoundaryExchange> bx;
-      if (transport != nullptr)
-        bx = std::make_unique<transport::BoundaryExchange>(
-            *transport, *pipeline, ep.dst_major, boundary_row_bytes(ep));
-      const PipelineTiming tm = run_pipelined(
-          part, *pipeline,
-          [&](int, const std::int32_t* list, std::int64_t count) {
-            run_core_span(g, ep, *core, args, list, count, 0, 0);
-          },
-          [&](int, const std::int32_t* list, std::int64_t count) {
-            run_core_combine_span(g, ep, *core, args, list, count, 0, 0);
-          },
-          core->has_boundary(), bx.get());
-      walk_s = tm.walk_s;
-      comb_s = tm.comb_s;
-      charge_pipelined(part, ep, tm);
-    } else {
-      run_sharded_core_barrier(g, part, ep, *core, args, walk_s, comb_s);
+    ShardFn combine;
+    if (core->has_boundary()) {
+      combine = [&](const Shard& sh) {
+        run_core_combine_range(g, ep, *core, args, sh.v_lo, sh.v_hi);
+      };
     }
+    run_sharded_barrier(
+        part,
+        [&](const Shard& sh) {
+          run_core_range(g, ep, *core, args, sh.v_lo, sh.v_hi);
+        },
+        combine);
     charge_specialized(g, ep, *core, backward);
   } else {
     ResolvedProgram rp = resolve(g, ep, b);
-    if (pipeline != nullptr && ep.mapping == WorkMapping::VertexBalanced) {
-      TRIAD_CHECK_EQ(pipeline->num_shards(), k,
-                     "pipeline schedule built for a different partitioning");
-      std::unique_ptr<transport::BoundaryExchange> bx;
-      if (transport != nullptr)
-        bx = std::make_unique<transport::BoundaryExchange>(
-            *transport, *pipeline, ep.dst_major, boundary_row_bytes(ep));
-      const PipelineTiming tm = run_pipelined(
-          part, *pipeline,
-          [&](int, const std::int32_t* list, std::int64_t count) {
-            walk_vertex_span(g, ep, rp, list, count, 0, 0);
-          },
-          [&](int, const std::int32_t* list, std::int64_t count) {
-            combine_boundary_targets(g, ep, rp, list, count, 0, 0);
-          },
-          rp.has_boundary, bx.get());
-      walk_s = tm.walk_s;
-      comb_s = tm.comb_s;
-      charge_pipelined(part, ep, tm);
+    ShardFn walk;
+    if (ep.mapping == WorkMapping::VertexBalanced) {
+      walk = [&](const Shard& sh) {
+        walk_vertex_range(g, ep, rp, sh.v_lo, sh.v_hi);
+      };
     } else {
-      // Edge-balanced programs keep the barrier: their walk order is not
-      // vertex-owned, so there is no frontier/interior split to exploit.
-      run_sharded_barrier(g, part, ep, rp, walk_s, comb_s);
+      // Edge-balanced programs shard the flat edge list into K even ranges;
+      // vertex ownership is irrelevant to the walk and the combine restores
+      // determinism regardless.
+      walk = [&](const Shard& sh) {
+        const EdgeRange r = edge_shard_range(g.num_edges(), k, sh.id);
+        walk_edge_range(g, ep, rp, r.lo, r.hi);
+      };
     }
+    ShardFn combine;
+    if (rp.has_boundary) {
+      combine = [&](const Shard& sh) {
+        combine_boundary_range(g, ep, rp, sh.v_lo, sh.v_hi);
+      };
+    }
+    run_sharded_barrier(part, walk, combine);
     (backward ? c.interpreted_bwd_edges : c.interpreted_fwd_edges) +=
         static_cast<std::uint64_t>(g.num_edges());
-  }
-  for (int s = 0; s < k; ++s) {
-    c.walk_ns += static_cast<std::uint64_t>(walk_s[s] * 1e9);
-    c.combine_ns += static_cast<std::uint64_t>(comb_s[s] * 1e9);
   }
 
   // Per-shard charging: each shard is one modeled kernel over its owned
@@ -930,13 +829,6 @@ void run_edge_program_sharded(const Graph& g, const Partitioning& part,
     charge_program(sh.num_vertices(), m_s, ep);
   }
   charge_sharded_combine(part, ep);
-  if (transport != nullptr) {
-    // Fabric counters are fabric-wide atomics fed from pool threads; charge
-    // the run's delta here, post-join, into the caller's thread-local ledger.
-    const transport::TransportStats tx1 = transport->stats();
-    c.transport_msgs += tx1.messages - tx0.messages;
-    c.transport_bytes += tx1.bytes - tx0.bytes;
-  }
 }
 
 }  // namespace triad

@@ -12,20 +12,14 @@
 /// traffic), which is where the fusion IO savings come from; the cost model
 /// charges accordingly.
 ///
-/// Sharded execution (run_edge_program_sharded) walks each shard's owned
-/// vertex range as one unit of work on the thread pool; because shards are
-/// contiguous and the combine order is fixed by the graph, sharded output is
-/// bit-identical to the single-shard path. Analytic costs are charged per
-/// shard (one modeled kernel launch each), and the boundary-combine traffic
-/// of cross-shard reductions is charged to PerfCounters::combine_bytes.
-///
-/// With a PipelineSchedule (engine/pipeline.h) the sharded interpreter runs
-/// dependency-driven instead of barriered: shards walk their frontier
-/// vertices first and publish through atomic ready counters, and each owner
-/// shard's combine fires as soon as the shards contributing to its cut have
-/// published — overlapping combine with remaining interior compute. Output
-/// stays bit-identical; PerfCounters::{interior,frontier}_edges and
-/// combine_overlap_ns report what the pipeline did.
+/// Sharded execution (run_edge_program_sharded) runs one barrier schedule for
+/// the interpreter and the bound cores alike: each shard's walk is one unit
+/// of work on the thread pool, all walks join, then each shard's owned range
+/// of the boundary combine is one more. Because shards are contiguous and the
+/// combine order is fixed by the graph, sharded output is bit-identical to
+/// the single-shard path. Analytic costs are charged per shard (one modeled
+/// kernel launch each), and the cross-shard volume of boundary reductions is
+/// charged once, to PerfCounters::combine_bytes.
 #pragma once
 
 #include <functional>
@@ -37,10 +31,6 @@
 #include "tensor/tensor.h"
 
 namespace triad {
-
-namespace transport {
-class ShardTransport;
-}  // namespace transport
 
 /// Tensor environment the VM reads from / writes to, keyed by IR node id.
 struct VmBindings {
@@ -59,7 +49,7 @@ struct VmBindings {
 /// `core`: optional specialized-core binding produced by match_core at plan
 /// compile time. When it names a core, the walk runs that core instead of the
 /// interpreter — bit-identical output (see engine/specialize.h) — and, for
-/// bindings with a boundary output, run_core_combine_span finalizes it after
+/// bindings with a boundary output, run_core_combine_range finalizes it after
 /// the walk. Specialized runs charge PerfCounters::specialized_{fwd,bwd}_edges
 /// and null/unmatched runs charge interpreted_{fwd,bwd}_edges, split by
 /// `backward` (true = the program belongs to the training backward pass). The
@@ -77,33 +67,17 @@ void run_edge_program(const Graph& g, const EdgeProgram& ep, const VmBindings& b
 /// the rule lives only here.
 bool interpreter_stashes(const EdgeProgram& ep, std::size_t out);
 
-class PipelineSchedule;
-
-/// Executes the program shard-by-shard: each shard's owned range is one unit
-/// of pool work (shard = unit of placement; no intra-shard work stealing).
-/// Output is bit-identical to run_edge_program for every K.
-///
-/// `pipeline`: optional combine-dependency schedule (must match `part`).
-/// Non-null runs vertex-balanced programs — interpreted AND specialized —
-/// through the pipelined frontier-first path instead of the barrier, so
-/// specialized backward cores (whose boundary output is finalized by the
-/// combine core) overlap their combine with other shards' walks exactly like
-/// the interpreter does. Edge-balanced programs keep the barrier. Output is
-/// bit-identical either way. `backward` selects the fwd/bwd counter split as
-/// in run_edge_program.
-///
-/// `transport`: optional shard fabric (must match `part`). Non-null routes
-/// the pipelined path's publish/combine signaling through transport messages
-/// (transport::BoundaryExchange) instead of bare counters — same firing
-/// threads, same fold order, bit-identical output — and charges the fabric's
-/// message/byte delta to PerfCounters::transport_{msgs,bytes}. Ignored on
-/// the barrier and edge-balanced paths (those stay direct shared-memory: the
-/// --no-transport ablation baseline).
+/// Executes the program shard-by-shard under the barrier schedule: one pool
+/// task per shard walks its owned vertex range (edge-balanced interpreted
+/// programs: its 1/K flat edge range), the tasks join, then one pool task per
+/// shard runs the boundary combine over its owned target range — the bound
+/// core's combine when `core` has a boundary output, the interpreter's
+/// otherwise. Per-task times are charged to PerfCounters::walk_ns and
+/// combine_ns. Output is bit-identical to run_edge_program for every K.
+/// `backward` selects the fwd/bwd counter split as in run_edge_program.
 void run_edge_program_sharded(const Graph& g, const Partitioning& part,
                               const EdgeProgram& ep, const VmBindings& b,
                               const CoreBinding* core = nullptr,
-                              const PipelineSchedule* pipeline = nullptr,
-                              bool backward = false,
-                              transport::ShardTransport* transport = nullptr);
+                              bool backward = false);
 
 }  // namespace triad

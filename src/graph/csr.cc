@@ -1,12 +1,20 @@
 #include "graph/csr.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 namespace triad {
 
 Graph::Graph(std::int64_t num_vertices, std::vector<Edge> edges)
     : n_(num_vertices), m_(static_cast<std::int64_t>(edges.size())) {
+  // Vertex and edge ids are stored as int32 (adjacency, edge-id arrays), so
+  // reject sizes they cannot address before allocating anything.
+  constexpr std::int64_t kMaxId = std::numeric_limits<std::int32_t>::max();
+  TRIAD_CHECK(n_ <= kMaxId,
+              "|V| = " << n_ << " exceeds the int32 vertex-id limit " << kMaxId);
+  TRIAD_CHECK(m_ <= kMaxId,
+              "|E| = " << m_ << " exceeds the int32 edge-id limit " << kMaxId);
   TRIAD_CHECK_GT(n_, 0, "empty vertex set");
   edge_src_.resize(m_);
   edge_dst_.resize(m_);

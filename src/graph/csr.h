@@ -27,6 +27,8 @@ struct Edge {
 class Graph {
  public:
   /// Builds from an edge list; deduplication is the caller's business.
+  /// Vertex and edge ids are int32: throws triad::Error when |V| or |E|
+  /// exceeds INT32_MAX, before allocating anything.
   Graph(std::int64_t num_vertices, std::vector<Edge> edges);
 
   std::int64_t num_vertices() const { return n_; }

@@ -87,18 +87,15 @@ Partitioning Partitioning::build(const Graph& g, int num_shards,
     sh.e_out_hi = g.out_ptr()[sh.v_hi];
     p.range_starts_[s] = sh.v_lo;
 
-    // Halo + interior/frontier classification in one per-vertex sweep: an
-    // owned vertex is frontier iff any incident edge (either orientation)
-    // has a foreign endpoint. Cut-edge counting rides along.
+    // Halo set and cut-edge counts in one per-vertex sweep over both
+    // orientations of the owned range.
     std::vector<std::int32_t> halo;
     for (std::int64_t v = sh.v_lo; v < sh.v_hi; ++v) {
-      bool foreign = false;
       for (std::int64_t i = g.in_ptr()[v]; i < g.in_ptr()[v + 1]; ++i) {
         const std::int32_t u = g.in_src()[i];
         if (!sh.owns(u)) {
           halo.push_back(u);
           ++sh.cut_in_edges;
-          foreign = true;
         }
       }
       for (std::int64_t i = g.out_ptr()[v]; i < g.out_ptr()[v + 1]; ++i) {
@@ -106,40 +103,16 @@ Partitioning Partitioning::build(const Graph& g, int num_shards,
         if (!sh.owns(w)) {
           halo.push_back(w);
           ++sh.cut_out_edges;
-          foreign = true;
         }
-      }
-      if (foreign) {
-        sh.frontier.push_back(static_cast<std::int32_t>(v));
-        sh.frontier_in_edges += g.in_ptr()[v + 1] - g.in_ptr()[v];
-        sh.frontier_out_edges += g.out_ptr()[v + 1] - g.out_ptr()[v];
-      } else {
-        sh.interior.push_back(static_cast<std::int32_t>(v));
       }
     }
     std::sort(halo.begin(), halo.end());
     halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
     sh.halo = std::move(halo);
     p.total_halo_ += static_cast<std::int64_t>(sh.halo.size());
-    p.total_frontier_ += static_cast<std::int64_t>(sh.frontier.size());
     // Each cut edge is foreign-src for exactly one shard, so summing the
     // incoming side counts every crossing once.
     p.cut_edges_ += sh.cut_in_edges;
-  }
-
-  // Neighbor shards: owners of halo vertices. Needs every shard's range in
-  // place, hence the second pass. The relation is symmetric (an edge between
-  // shards s and t puts a t-vertex in s's halo and an s-vertex in t's).
-  for (Shard& sh : p.shards_) {
-    for (const std::int32_t h : sh.halo) {
-      const int o = p.owner_of(h);
-      if (sh.neighbor_shards.empty() || sh.neighbor_shards.back() != o)
-        sh.neighbor_shards.push_back(o);
-    }
-    std::sort(sh.neighbor_shards.begin(), sh.neighbor_shards.end());
-    sh.neighbor_shards.erase(
-        std::unique(sh.neighbor_shards.begin(), sh.neighbor_shards.end()),
-        sh.neighbor_shards.end());
   }
   return p;
 }
@@ -168,7 +141,7 @@ std::string Partitioning::stats() const {
   std::ostringstream os;
   os << "K=" << shards_.size() << " strategy=" << to_string(strategy_)
      << " cut_edges=" << cut_edges_ << " halo=" << total_halo_
-     << " frontier=" << total_frontier_ << " imbalance=" << edge_imbalance();
+     << " imbalance=" << edge_imbalance();
   return os.str();
 }
 

@@ -55,11 +55,8 @@ std::string PerfCounters::to_string() const {
          " interp_edges=" + human_count(interpreted_edges()) +
          " (fwd=" + human_count(interpreted_fwd_edges) +
          " bwd=" + human_count(interpreted_bwd_edges) + ")" +
-         " interior_edges=" + human_count(interior_edges) +
-         " frontier_edges=" + human_count(frontier_edges) +
          " walk=" + human_count(walk_ns) + "ns" +
          " comb=" + human_count(combine_ns) + "ns" +
-         " comb_overlap=" + human_count(combine_overlap_ns) + "ns" +
          " stash=" + human_bytes(boundary_stash_bytes) +
          " stash_saved=" + human_bytes(boundary_stash_saved_bytes) +
          " tx_msgs=" + std::to_string(transport_msgs) +

@@ -34,17 +34,18 @@ struct PerfCounters {
   std::uint64_t specialized_bwd_edges = 0;  ///< backward edges run by cores
   std::uint64_t interpreted_fwd_edges = 0;  ///< forward edges interpreted
   std::uint64_t interpreted_bwd_edges = 0;  ///< backward edges interpreted
-  std::uint64_t interior_edges = 0;     ///< pipelined walks: edges of interior vertices
-  std::uint64_t frontier_edges = 0;     ///< pipelined walks: edges of frontier vertices
   std::uint64_t walk_ns = 0;            ///< sharded walks: per-shard task time, summed
   std::uint64_t combine_ns = 0;         ///< sharded combine: per-task time, summed
-  std::uint64_t combine_overlap_ns = 0; ///< combine time hidden under still-walking shards
+  /// Always 0: sharded combines run after every walk has joined, so none is
+  /// hidden under a walk. Kept because benchmark reports still write it.
+  std::uint64_t combine_overlap_ns = 0;
   std::uint64_t boundary_stash_bytes = 0;        ///< per-edge stash actually allocated
   std::uint64_t boundary_stash_saved_bytes = 0;  ///< stash elided via combine-time recompute
-  // Transport accounting (src/transport/): explicit messages carrying the
-  // cross-shard flows. transport_msgs/bytes cover every fabric (boundary
-  // exchange + param server); the push/pull pair isolates the parameter
-  // traffic a weight server on another host would actually move.
+  // Transport accounting (src/transport/): the ParamServer fabric's messages.
+  // A training step sends one gradient message per parameter, one pull
+  // request and one weight reply per parameter, so transport_bytes equals
+  // param_push_bytes + param_pull_bytes. Cross-shard boundary volume is
+  // combine_bytes, not a message.
   std::uint64_t transport_msgs = 0;      ///< messages sent over any fabric
   std::uint64_t transport_bytes = 0;     ///< modeled wire bytes of those messages
   std::uint64_t param_push_bytes = 0;    ///< gradient bytes pushed to the param server
@@ -78,8 +79,6 @@ struct PerfCounters {
     r.specialized_bwd_edges = specialized_bwd_edges - o.specialized_bwd_edges;
     r.interpreted_fwd_edges = interpreted_fwd_edges - o.interpreted_fwd_edges;
     r.interpreted_bwd_edges = interpreted_bwd_edges - o.interpreted_bwd_edges;
-    r.interior_edges = interior_edges - o.interior_edges;
-    r.frontier_edges = frontier_edges - o.frontier_edges;
     r.walk_ns = walk_ns - o.walk_ns;
     r.combine_ns = combine_ns - o.combine_ns;
     r.combine_overlap_ns = combine_overlap_ns - o.combine_overlap_ns;
@@ -107,8 +106,6 @@ struct PerfCounters {
     specialized_bwd_edges += o.specialized_bwd_edges;
     interpreted_fwd_edges += o.interpreted_fwd_edges;
     interpreted_bwd_edges += o.interpreted_bwd_edges;
-    interior_edges += o.interior_edges;
-    frontier_edges += o.frontier_edges;
     walk_ns += o.walk_ns;
     combine_ns += o.combine_ns;
     combine_overlap_ns += o.combine_overlap_ns;

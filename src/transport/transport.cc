@@ -4,9 +4,9 @@
 
 namespace triad::transport {
 
-/// BoundedQueue-backed channel for one ordered endpoint pair. send() routes
-/// through the owning fabric so push-mode delivery hooks and the fabric-wide
-/// counters see every message regardless of which lane it crosses.
+/// BoundedQueue-backed channel for one ordered endpoint pair. send() counts
+/// through the owning fabric so the fabric-wide counters see every message
+/// regardless of which lane it crosses.
 class LocalTransport::LocalChannel final : public Channel {
  public:
   LocalChannel(LocalTransport& owner, int src, int dst, std::size_t capacity)
@@ -17,16 +17,9 @@ class LocalTransport::LocalChannel final : public Channel {
                 "transport: message addressed to wrong channel");
     owner_.messages_.fetch_add(1, std::memory_order_relaxed);
     owner_.bytes_.fetch_add(m.bytes, std::memory_order_relaxed);
-    const DeliveryFn& hook = owner_.delivery_[static_cast<std::size_t>(dst_)];
-    if (hook) {
-      // Push mode: complete inline on the sender's thread, bypassing the
-      // queue — the in-process analogue of the receiver's read callback.
-      hook(m);
-      return true;
-    }
-    // Pull mode. The fabric is sized so producers never outrun consumers
-    // within one exchange round; a full queue means a protocol bug, not
-    // backpressure, so fail loudly instead of blocking the sender.
+    // The fabric is sized so producers never outrun consumers within one
+    // exchange round; a full queue means a protocol bug, not backpressure,
+    // so fail loudly instead of blocking the sender.
     bool ok = queue_.try_push(m);
     TRIAD_CHECK(ok, "transport: channel full or closed (protocol error)");
     return ok;
@@ -48,9 +41,7 @@ class LocalTransport::LocalChannel final : public Channel {
 };
 
 LocalTransport::LocalTransport(int endpoints, std::size_t channel_capacity)
-    : endpoints_(endpoints),
-      capacity_(channel_capacity),
-      delivery_(static_cast<std::size_t>(endpoints)) {
+    : endpoints_(endpoints), capacity_(channel_capacity) {
   TRIAD_CHECK(endpoints > 0, "transport: need at least one endpoint");
   channels_.reserve(static_cast<std::size_t>(endpoints) *
                     static_cast<std::size_t>(endpoints));
@@ -79,16 +70,6 @@ TransportStats LocalTransport::stats() const {
   s.messages = messages_.load(std::memory_order_relaxed);
   s.bytes = bytes_.load(std::memory_order_relaxed);
   return s;
-}
-
-void LocalTransport::set_delivery(int endpoint, DeliveryFn fn) {
-  TRIAD_CHECK(endpoint >= 0 && endpoint < endpoints_,
-              "transport: endpoint out of range");
-  delivery_[static_cast<std::size_t>(endpoint)] = std::move(fn);
-}
-
-void LocalTransport::clear_delivery() {
-  for (auto& fn : delivery_) fn = nullptr;
 }
 
 }  // namespace triad::transport

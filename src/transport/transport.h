@@ -1,23 +1,21 @@
 /// \file
-/// Transport: the message-passing seam between shards and the param server.
+/// Transport: the message-passing seam between a training worker and the
+/// param server.
 ///
-/// Everything cross-shard used to be direct shared-memory access inside one
-/// process — boundary combines read neighbor stashes, the Trainer applied
-/// gradient updates in place. That caps the system at a single node. This
-/// interface factors the two cross-shard data flows (boundary-stash exchange,
-/// gradient push / parameter pull) behind typed channels with explicit
-/// send/recv/close and per-fabric message/byte counters, Dorylus-style: graph
-/// servers and a weight server communicating by messages. The in-process
-/// LocalTransport below preserves today's exact execution (zero-copy payload
-/// views, deterministic delivery order, bit-identical results); a socket
-/// transport can later implement the same interface without touching the
-/// runners (the seam this subsystem exists to cut).
+/// The gradient push / parameter pull of a training step runs over typed
+/// channels with explicit send/recv/close and per-fabric message/byte
+/// counters, Dorylus-style: a graph worker and a weight server communicating
+/// by messages (transport/param_server.h). The in-process LocalTransport
+/// below keeps execution exact (zero-copy payload views, FIFO delivery,
+/// bit-identical results); a socket transport can implement the same
+/// interface without touching the ParamServer's callers. Cross-shard
+/// boundary volume is not a message: a sharded run charges it analytically,
+/// from the partition's cut, to PerfCounters::combine_bytes.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -27,11 +25,11 @@
 namespace triad::transport {
 
 /// One message on a channel. For the in-process transport `data` is a
-/// zero-copy view into sender-owned memory (a gradient tensor, the boundary
-/// stash); receivers must consume it before the sender's next step. `bytes`
-/// is the modeled wire size — what a socket transport would serialize — and
-/// is what the transport counters account, whether or not `data` is set
-/// (boundary publishes carry no pointer: the payload *is* the shared stash).
+/// zero-copy view into sender-owned memory (a gradient or weight tensor);
+/// receivers must consume it before the sender's next step. `bytes` is the
+/// modeled wire size — what a socket transport would serialize — and is what
+/// the transport counters account, whether or not `data` is set (a pull
+/// request carries no payload).
 struct TransportMessage {
   int src = -1;                 ///< sending endpoint
   int dst = -1;                 ///< receiving endpoint
@@ -49,8 +47,8 @@ struct TransportStats {
 };
 
 /// One ordered (src, dst) endpoint pair's typed lane. send() never blocks on
-/// the in-process fabric; recv()/try_recv() are the pull-mode consumer side
-/// (an empty optional means closed-and-drained / nothing pending).
+/// the in-process fabric; recv()/try_recv() are the consumer side (an empty
+/// optional means closed-and-drained / nothing pending).
 class Channel {
  public:
   virtual ~Channel() = default;
@@ -62,8 +60,8 @@ class Channel {
   virtual int dst() const = 0;
 };
 
-/// A fabric of N endpoints with one channel per ordered pair. Endpoint = one
-/// shard (boundary exchange) or one of {worker, server} (param server).
+/// A fabric of N endpoints with one channel per ordered pair (the param
+/// server uses two: worker and server).
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -73,27 +71,14 @@ class Transport {
   virtual TransportStats stats() const = 0;
 };
 
-/// In-process Transport over BoundedQueue channels.
+/// In-process Transport over BoundedQueue channels: send() enqueues, the
+/// receiver drains with recv()/try_recv().
 ///
-/// Two delivery modes:
-///  * Pull mode (default): send() enqueues, the receiver drains with
-///    recv()/try_recv(). The param server's request/reply traffic runs this
-///    way.
-///  * Push mode: set_delivery(endpoint, fn) installs a completion handler —
-///    send() then invokes it inline on the sender's thread instead of
-///    queuing. This is how boundary publishes keep firing combines the
-///    instant the last dependency lands (the in-process analogue of a socket
-///    read callback), preserving the pipelined runner's execution order
-///    exactly. Hooks must be installed/cleared only while no sends are in
-///    flight (the pipelined fan-out's fork/join provides that window).
-///
-/// Counters are fabric-wide atomics (sends happen on pool threads); callers
+/// Counters are fabric-wide atomics, so any thread may send; callers
 /// snapshot stats() around a run and charge the delta into the thread-local
 /// PerfCounters ledger.
 class LocalTransport final : public Transport {
  public:
-  using DeliveryFn = std::function<void(const TransportMessage&)>;
-
   explicit LocalTransport(int endpoints, std::size_t channel_capacity = 64);
   ~LocalTransport() override;  ///< out of line: LocalChannel is incomplete here
 
@@ -102,11 +87,6 @@ class LocalTransport final : public Transport {
   void close() override;
   TransportStats stats() const override;
 
-  /// Installs the push-mode handler for messages addressed to `endpoint`.
-  void set_delivery(int endpoint, DeliveryFn fn);
-  /// Returns every endpoint to pull mode.
-  void clear_delivery();
-
  private:
   class LocalChannel;
   friend class LocalChannel;
@@ -114,7 +94,6 @@ class LocalTransport final : public Transport {
   int endpoints_;
   std::size_t capacity_;
   std::vector<std::unique_ptr<LocalChannel>> channels_;  ///< [src * N + dst]
-  std::vector<DeliveryFn> delivery_;                     ///< per endpoint
   std::atomic<std::uint64_t> messages_{0};
   std::atomic<std::uint64_t> bytes_{0};
 };

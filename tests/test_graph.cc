@@ -1,7 +1,10 @@
 // Unit tests for the graph substrate: CSR/CSC construction and generators.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "graph/csr.h"
 #include "graph/generators.h"
@@ -134,6 +137,20 @@ TEST(Graph, SingleVertexGraph) {
 }
 
 TEST(Graph, ZeroVerticesRejected) { EXPECT_THROW(Graph(0, {}), Error); }
+
+TEST(Graph, VertexCountBeyondInt32Rejected) {
+  // Vertex ids are int32; the check fires before the O(|V|) CSR allocation.
+  // (The matching |E| check would need 2^31 edges to exercise.)
+  const std::int64_t n =
+      std::int64_t{std::numeric_limits<std::int32_t>::max()} + 1;
+  try {
+    Graph g(n, {});
+    FAIL() << "Graph accepted |V| = " << n;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("2147483647"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Generators, ErdosRenyiShape) {
   Rng rng(1);

@@ -1,5 +1,6 @@
 // Sharded-execution tests: bit-identical determinism across shard counts,
-// a PlanRunner with an installed Partitioning, per-shard plan schedules, and
+// repeated barrier runs of a boundary program against the unsharded path, a
+// PlanRunner with an installed Partitioning, per-shard plan schedules, and
 // the combine-traffic accounting of the device model.
 //
 // The determinism guarantee is structural, not statistical: owned-vertex
@@ -11,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/strategy.h"
 #include "engine/device.h"
 #include "engine/plan.h"
+#include "engine/vm.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "models/models.h"
@@ -158,6 +161,106 @@ TEST(Sharded, UnfusedKernelsBitIdenticalWhenSharded) {
   }
 }
 
+// --- direct VM runs: repeated barrier runs of a boundary program ---------
+
+struct Env {
+  std::unordered_map<int, Tensor> tensors;
+  std::unordered_map<int, Tensor> outs;
+  std::unordered_map<int, IntTensor> auxes;
+
+  VmBindings bindings() {
+    VmBindings b;
+    b.tensor = [this](int id) -> const Tensor& { return tensors.at(id); };
+    b.aux = [this](int id) -> const IntTensor& { return auxes.at(id); };
+    b.out = [this](int id) -> Tensor& { return outs.at(id); };
+    b.out_aux = [this](int id) -> IntTensor& { return auxes[id]; };
+    return b;
+  }
+};
+
+EPInstr load(EPOp op, int dst, int tensor, std::int64_t w) {
+  EPInstr i;
+  i.op = op;
+  i.dst = dst;
+  i.tensor = tensor;
+  i.width = w;
+  return i;
+}
+EPInstr binop(EPOp op, int dst, int a, int b, std::int64_t w) {
+  EPInstr i;
+  i.op = op;
+  i.dst = dst;
+  i.a = a;
+  i.b = b;
+  i.width = w;
+  return i;
+}
+EPInstr reduce(int a, int acc, std::int64_t w) {
+  EPInstr i;
+  i.op = EPOp::Reduce;
+  i.a = a;
+  i.acc = acc;
+  i.width = w;
+  return i;
+}
+
+/// Dst-major walk with a reduce-to-src Sum: every edge contributes through
+/// the boundary combine. `costly` adds arithmetic past the elision threshold
+/// so the per-edge stash (not recompute) carries the contribution.
+EdgeProgram boundary_program(std::int64_t f, bool costly) {
+  EdgeProgram ep;
+  ep.mapping = WorkMapping::VertexBalanced;
+  ep.dst_major = true;
+  ep.phases.resize(1);
+  if (costly) {
+    // ((x_u + x_v) * x_u) - x_v: 3 arithmetic ops -> stash, not recompute.
+    ep.phases[0].instrs = {load(EPOp::LoadU, 0, 0, f),
+                           load(EPOp::LoadV, 1, 0, f),
+                           binop(EPOp::Add, 2, 0, 1, f),
+                           binop(EPOp::Mul, 3, 2, 0, f),
+                           binop(EPOp::Sub, 4, 3, 1, f),
+                           reduce(4, 0, f)};
+    ep.num_regs = 5;
+    ep.reg_width = {f, f, f, f, f};
+  } else {
+    // x_u + x_v: cheap enough that the combine recomputes it per edge.
+    ep.phases[0].instrs = {load(EPOp::LoadU, 0, 0, f),
+                           load(EPOp::LoadV, 1, 0, f),
+                           binop(EPOp::Add, 2, 0, 1, f), reduce(2, 0, f)};
+    ep.num_regs = 3;
+    ep.reg_width = {f, f, f};
+  }
+  ep.vertex_outputs.push_back({1, static_cast<std::uint8_t>(ReduceFn::Sum), f,
+                               0, /*reverse=*/true, false, false});
+  return ep;
+}
+
+TEST(Sharded, BarrierStressBitIdentical) {
+  // Repeated K=8 barrier runs against a fixed unsharded reference, with the
+  // boundary contribution both recomputed (elided stash) and stashed: every
+  // interleaving of the shard tasks must produce the same bits. The TSan CI
+  // job runs this with real threads.
+  Rng rng(11);
+  const Graph g = test_graph();
+  const std::int64_t n = g.num_vertices(), f = 4;
+  const Partitioning part =
+      Partitioning::build(g, 8, PartitionStrategy::DegreeBalanced);
+  for (const bool costly : {false, true}) {
+    const EdgeProgram ep = boundary_program(f, costly);
+    Env env;
+    env.tensors.emplace(0, Tensor::randn(n, f, rng));
+    env.outs.emplace(1, Tensor::zeros(n, f));
+    run_edge_program(g, ep, env.bindings());
+    const Tensor ref = env.outs.at(1).clone();
+    for (int rep = 0; rep < 25; ++rep) {
+      env.outs.at(1).fill(0.f);
+      run_edge_program_sharded(g, part, ep, env.bindings());
+      expect_bit_identical(ref, env.outs.at(1), costly ? "stashed boundary sum"
+                                                       : "elided boundary sum");
+    }
+  }
+}
+
 TEST(Sharded, PartitionedPlanRunnerMatchesPlanRunner) {
   const Graph g = test_graph();
   Rng mrng(7);
@@ -226,11 +329,34 @@ TEST(Sharded, CombineBytesChargedOnlyWhenSharded) {
   train_run(g, build, 0, PartitionStrategy::VertexRange, 1, 6);
   const PerfCounters unsharded = unsharded_scope.delta();
   EXPECT_EQ(unsharded.combine_bytes, 0u);
+  EXPECT_EQ(unsharded.walk_ns, 0u);
+
+  // Brute force: a training step runs every fused program once, and each
+  // output not reduced sequentially by its walker moves cut_edges() rows of
+  // its width across shards, charged as one read plus one write of 4 bytes.
+  Rng mrng(7);
+  const Compiled c = compile_model(build(mrng), ours(), /*training=*/true, g,
+                                   4, PartitionStrategy::DegreeBalanced);
+  const auto cut = static_cast<std::uint64_t>(c.partition->cut_edges());
+  std::uint64_t expected = 0;
+  for (const EdgeProgram& ep : c.plan->ir().programs) {
+    for (const VertexOutput& vo : ep.vertex_outputs) {
+      const bool sequential = ep.mapping == WorkMapping::VertexBalanced &&
+                              vo.reverse != ep.dst_major;
+      if (!sequential) {
+        expected += cut * static_cast<std::uint64_t>(vo.width) * 8;
+      }
+    }
+  }
+  ASSERT_GT(expected, 0u);  // GAT's backward has cross-orientation outputs
 
   CounterScope sharded_scope;
   train_run(g, build, 4, PartitionStrategy::DegreeBalanced, 1, 6);
   const PerfCounters sharded = sharded_scope.delta();
-  EXPECT_GT(sharded.combine_bytes, 0u);
+  EXPECT_EQ(sharded.combine_bytes, expected);
+  // The barrier times every per-shard walk and combine task.
+  EXPECT_GT(sharded.walk_ns, 0u);
+  EXPECT_GT(sharded.combine_ns, 0u);
 
   // The device model must price the combine traffic: same device, same
   // counters except combine_bytes => strictly larger projected latency.

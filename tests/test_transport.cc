@@ -1,13 +1,12 @@
-// Transport layer (src/transport/): the message-passing seam for cross-shard
-// flows, and the ParamServer split of training state.
+// Transport layer (src/transport/): the message-passing seam between a
+// training worker and the ParamServer that owns the training state.
 //
 // Three contracts are pinned here:
-//  * LocalTransport semantics — pull-mode FIFO channels, push-mode inline
-//    delivery, fabric-wide message/byte accounting — and the ExchangePlan's
-//    per-ordered-pair cut counts against a brute-force edge sweep;
-//  * bit-identity: routing boundary publishes and parameter updates through
-//    the transport must not perturb a single bit. Every model × strategy × K
-//    comparison is memcmp against the direct-memory (--no-transport) path;
+//  * LocalTransport semantics — FIFO channels and fabric-wide message/byte
+//    accounting — and the exact message and byte count of one training step;
+//  * bit-identity: routing parameter updates through the transport must not
+//    perturb a single bit. Every model × strategy × K comparison is memcmp
+//    against the unsharded in-place-update (--no-transport) path;
 //  * ParamServer state ownership — the optimizer and its momentum/Adam state
 //    live server-side, attach() runs exactly once, and N push/pull round
 //    trips reproduce the direct in-place update bit for bit.
@@ -33,7 +32,6 @@
 #include "serve/host.h"
 #include "support/counters.h"
 #include "support/rng.h"
-#include "transport/exchange.h"
 #include "transport/param_server.h"
 #include "transport/transport.h"
 
@@ -41,7 +39,6 @@ namespace triad {
 namespace {
 
 using serve::ServingHost;
-using transport::ExchangePlan;
 using transport::LocalTransport;
 using transport::ParamServer;
 using transport::TransportMessage;
@@ -79,7 +76,7 @@ void expect_bit_identical(const Tensor& a, const Tensor& b, const char* what) {
       << what << " differs bitwise";
 }
 
-/// The direct-memory ablation of any strategy — what --no-transport selects.
+/// The in-place-update ablation of any strategy — what --no-transport selects.
 Strategy without_transport(Strategy s) {
   s.transport = false;
   s.name += "(-transport)";
@@ -88,7 +85,7 @@ Strategy without_transport(Strategy s) {
 
 // --- LocalTransport semantics -----------------------------------------------
 
-TEST(Transport, PullModeIsFifoAndCounted) {
+TEST(Transport, ChannelsAreFifoAndCounted) {
   LocalTransport fabric(3, 8);
   ASSERT_EQ(fabric.num_endpoints(), 3);
   EXPECT_EQ(fabric.channel(0, 2).src(), 0);
@@ -124,73 +121,6 @@ TEST(Transport, PullModeIsFifoAndCounted) {
   EXPECT_FALSE(fabric.channel(0, 2).recv().has_value());  // closed + drained
 }
 
-TEST(Transport, PushModeDeliversInlineOnSenderThread) {
-  LocalTransport fabric(2, 4);
-  std::vector<std::uint32_t> delivered;
-  fabric.set_delivery(1, [&](const TransportMessage& m) {
-    delivered.push_back(m.tag);  // unsynchronized: inline == same thread
-  });
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    TransportMessage m;
-    m.src = 0;
-    m.dst = 1;
-    m.tag = i;
-    m.bytes = 16;
-    ASSERT_TRUE(fabric.channel(0, 1).send(m));
-    // Delivery already happened by the time send() returned.
-    ASSERT_EQ(delivered.size(), static_cast<std::size_t>(i) + 1);
-    EXPECT_EQ(delivered.back(), i);
-  }
-  // Push mode bypasses the queue entirely — nothing to pull.
-  EXPECT_FALSE(fabric.channel(0, 1).try_recv().has_value());
-  // Accounting is identical in both modes.
-  EXPECT_EQ(fabric.stats().messages, 5u);
-  EXPECT_EQ(fabric.stats().bytes, 80u);
-
-  fabric.clear_delivery();
-  TransportMessage m;
-  m.src = 0;
-  m.dst = 1;
-  m.tag = 99;
-  ASSERT_TRUE(fabric.channel(0, 1).send(m));
-  EXPECT_EQ(delivered.size(), 5u);  // hook gone: back to pull mode
-  auto pulled = fabric.channel(0, 1).try_recv();
-  ASSERT_TRUE(pulled.has_value());
-  EXPECT_EQ(pulled->tag, 99u);
-}
-
-TEST(Transport, ExchangePlanMatchesBruteForceCutCounts) {
-  const Graph g = test_graph();
-  const Partitioning part =
-      Partitioning::build(g, 4, PartitionStrategy::DegreeBalanced);
-  const ExchangePlan plan(g, part);
-  ASSERT_EQ(plan.num_shards(), 4);
-
-  // Brute force: count cut edges per (owner(dst), owner(src)) pair.
-  std::vector<std::int64_t> d2s(16, 0);
-  for (std::int64_t e = 0; e < g.num_edges(); ++e) {
-    const int os = part.owner_of(g.edge_src()[static_cast<std::size_t>(e)]);
-    const int od = part.owner_of(g.edge_dst()[static_cast<std::size_t>(e)]);
-    if (os != od) ++d2s[static_cast<std::size_t>(od) * 4 + os];
-  }
-  std::int64_t total = 0;
-  for (int from = 0; from < 4; ++from) {
-    EXPECT_EQ(plan.cut(true, from, from), 0);  // diagonal never crosses
-    for (int to = 0; to < 4; ++to) {
-      // dst-major walk: shard `from` walks its owned destinations and stashes
-      // contributions for src-owner `to`; src-major is the transpose.
-      EXPECT_EQ(plan.cut(/*dst_major=*/true, from, to),
-                d2s[static_cast<std::size_t>(from) * 4 + to])
-          << "dst-major " << from << "->" << to;
-      EXPECT_EQ(plan.cut(/*dst_major=*/false, from, to),
-                d2s[static_cast<std::size_t>(to) * 4 + from])
-          << "src-major " << from << "->" << to;
-      total += plan.cut(true, from, to);
-    }
-  }
-  EXPECT_GT(total, 0);  // an rmat graph at K=4 must cut something
-}
-
 // --- end-to-end bit identity -------------------------------------------------
 
 struct RunResult {
@@ -222,14 +152,14 @@ RunResult train_run(const Graph& g, BuildFn&& build, int shards, int steps,
   return r;
 }
 
-/// Transport-on vs direct memory, all bitwise, for one model under both the
+/// Transport-on vs in-place update, all bitwise, for one model under both the
 /// fused and unfused strategy (fusion changes which programs have boundary
 /// reductions) and K in {1, 4, 8} (plus the unsharded anchor).
 template <typename BuildFn>
 void check_bit_identity(const Graph& g, BuildFn&& build, std::int64_t in_dim,
                         std::int64_t pseudo_dim, const char* what) {
   for (const Strategy& strat : {ours(), ours_no_fusion()}) {
-    // Anchor: unsharded, direct memory — the pre-transport ground truth.
+    // Anchor: unsharded, in-place update — the pre-transport ground truth.
     const RunResult base = train_run(g, build, /*shards=*/0, 2, in_dim,
                                      pseudo_dim, without_transport(strat));
     for (int k : {1, 4, 8}) {
@@ -312,7 +242,7 @@ TEST(Transport, MoNetBitIdentical) {
 TEST(Transport, CountersFireWithTransportAndStayZeroWithout) {
   const Graph g = test_graph();
   const auto build = [](Rng& r) {
-    GatConfig cfg;  // GAT: mixed orientations -> real boundary traffic
+    GatConfig cfg;  // GAT: its K=4 step runs cross-shard boundary combines
     cfg.in_dim = 6;
     cfg.hidden = 8;
     cfg.heads = 2;
@@ -320,19 +250,29 @@ TEST(Transport, CountersFireWithTransportAndStayZeroWithout) {
     cfg.num_classes = 4;
     return build_gat(cfg, r);
   };
+  // One step is one push (a message per parameter) and one pull (a request,
+  // then a reply per parameter), each carrying every parameter's bytes once.
+  // Nothing else crosses the fabric: sharding moves no messages.
+  Rng mrng(7);
+  const Compiled c = compile_model(build(mrng), ours(), /*training=*/true, g);
+  const std::uint64_t num_params = c.init.size();
+  std::uint64_t param_bytes = 0;
+  for (const Tensor& p : c.init) param_bytes += p.bytes();
+  ASSERT_GT(num_params, 0u);
+
   CounterScope on_scope;
   train_run(g, build, 4, 1, 6, 0, ours());
   const PerfCounters on = on_scope.delta();
-  EXPECT_GT(on.transport_msgs, 0u);
-  EXPECT_GT(on.transport_bytes, 0u);
-  EXPECT_GT(on.param_push_bytes, 0u);
-  EXPECT_GT(on.param_pull_bytes, 0u);
+  EXPECT_EQ(on.transport_msgs, 2 * num_params + 1);
+  EXPECT_EQ(on.param_push_bytes, param_bytes);
+  EXPECT_EQ(on.param_pull_bytes, param_bytes);
+  EXPECT_EQ(on.transport_bytes, on.param_push_bytes + on.param_pull_bytes);
 
   CounterScope off_scope;
   train_run(g, build, 4, 1, 6, 0, without_transport(ours()));
   const PerfCounters off = off_scope.delta();
-  // The direct-memory ablation restores today's accounting exactly: nothing
-  // crosses the fabric because there is no fabric.
+  // The in-place-update ablation has no ParamServer, so there is no fabric
+  // and nothing to count.
   EXPECT_EQ(off.transport_msgs, 0u);
   EXPECT_EQ(off.transport_bytes, 0u);
   EXPECT_EQ(off.param_push_bytes, 0u);

@@ -1,6 +1,9 @@
 // Tests for the EdgeProgram VM: hand-written programs against reference
-// kernels, both thread mappings, multi-phase execution, atomics.
+// kernels, both thread mappings, multi-phase execution, atomics, and the
+// boundary-stash elision rule.
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "engine/kernels.h"
 #include "engine/vm.h"
@@ -312,6 +315,93 @@ TEST(Vm, FusionChargesLessIoThanUnfused) {
   EXPECT_EQ(fused.kernel_launches, 1u);
   EXPECT_EQ(unfused.kernel_launches, 3u);
   EXPECT_GT(fused.onchip_bytes, 0u);
+}
+
+
+/// Dst-major walk with a reduce-to-src Sum: every edge contributes through
+/// the boundary combine. `costly` adds arithmetic past the elision threshold
+/// so the per-edge stash (not recompute) carries the contribution.
+EdgeProgram boundary_program(std::int64_t f, bool costly) {
+  EdgeProgram ep;
+  ep.mapping = WorkMapping::VertexBalanced;
+  ep.dst_major = true;
+  ep.phases.resize(1);
+  if (costly) {
+    // ((x_u + x_v) * x_u) - x_v: 3 arithmetic ops -> stash, not recompute.
+    ep.phases[0].instrs = {load(EPOp::LoadU, 0, 0, f),
+                           load(EPOp::LoadV, 1, 0, f),
+                           binop(EPOp::Add, 2, 0, 1, f),
+                           binop(EPOp::Mul, 3, 2, 0, f),
+                           binop(EPOp::Sub, 4, 3, 1, f),
+                           reduce(4, 0, f)};
+    ep.num_regs = 5;
+    ep.reg_width = {f, f, f, f, f};
+  } else {
+    // x_u + x_v: cheap enough that the combine recomputes it per edge.
+    ep.phases[0].instrs = {load(EPOp::LoadU, 0, 0, f),
+                           load(EPOp::LoadV, 1, 0, f),
+                           binop(EPOp::Add, 2, 0, 1, f), reduce(2, 0, f)};
+    ep.num_regs = 3;
+    ep.reg_width = {f, f, f};
+  }
+  ep.vertex_outputs.push_back({1, static_cast<std::uint8_t>(ReduceFn::Sum), f,
+                               0, /*reverse=*/true, false, false});
+  return ep;
+}
+
+Graph boundary_graph() {
+  Rng rng(11);
+  return gen::rmat(7, 1500, rng);  // 128 vertices, skewed degrees
+}
+
+TEST(Vm, StashElisionSavesBytesAndStaysExact) {
+  Rng rng(13);
+  const Graph g = boundary_graph();
+  const std::int64_t n = g.num_vertices(), f = 4;
+  const EdgeProgram ep = boundary_program(f, /*costly=*/false);
+  Env env;
+  env.tensors.emplace(0, Tensor::randn(n, f, rng));
+  env.outs.emplace(1, Tensor::zeros(n, f));
+  CounterScope scope;
+  run_edge_program(g, ep, env.bindings());
+  const PerfCounters d = scope.delta();
+  // The one boundary output is cheap -> elided: the |E| x f stash is never
+  // allocated and its bytes are reported as saved.
+  EXPECT_EQ(d.boundary_stash_bytes, 0u);
+  EXPECT_EQ(d.boundary_stash_saved_bytes,
+            static_cast<std::uint64_t>(g.num_edges()) * f * sizeof(float));
+
+  // Recompute must reproduce the exact fold: out[u] = sum over outgoing
+  // edges (u, v) in out-CSC order of x_u + x_v.
+  Tensor expect = Tensor::zeros(n, f);
+  for (std::int64_t u = 0; u < n; ++u) {
+    float* row = expect.row(u);
+    const float* xu = env.tensors.at(0).row(u);
+    for (std::int64_t i = g.out_ptr()[u]; i < g.out_ptr()[u + 1]; ++i) {
+      const float* xv = env.tensors.at(0).row(g.out_dst()[i]);
+      for (std::int64_t j = 0; j < f; ++j) row[j] += xu[j] + xv[j];
+    }
+  }
+  const std::size_t bytes =
+      static_cast<std::size_t>(expect.numel()) * sizeof(float);
+  EXPECT_EQ(std::memcmp(expect.data(), env.outs.at(1).data(), bytes), 0)
+      << "elided boundary sum differs bitwise";
+}
+
+TEST(Vm, CostlyBoundaryKeepsStash) {
+  Rng rng(17);
+  const Graph g = boundary_graph();
+  const std::int64_t n = g.num_vertices(), f = 4;
+  const EdgeProgram ep = boundary_program(f, /*costly=*/true);
+  Env env;
+  env.tensors.emplace(0, Tensor::randn(n, f, rng));
+  env.outs.emplace(1, Tensor::zeros(n, f));
+  CounterScope scope;
+  run_edge_program(g, ep, env.bindings());
+  const PerfCounters d = scope.delta();
+  EXPECT_EQ(d.boundary_stash_bytes,
+            static_cast<std::uint64_t>(g.num_edges()) * f * sizeof(float));
+  EXPECT_EQ(d.boundary_stash_saved_bytes, 0u);
 }
 
 }  // namespace
